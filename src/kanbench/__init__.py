@@ -8,12 +8,13 @@ config-driven experiment runner that emits comparison tables.
 
 __version__ = "0.1.0"
 
-from . import bench, bspline, cli, data, forecast, kan, lstm, metrics, numcore, optim
+# The command-line module is left out on purpose: importing it here would
+# make `python -m kanbench.cli` warn that the module was already imported.
+from . import bench, bspline, data, forecast, kan, lstm, metrics, numcore, optim
 
 __all__ = [
     "bench",
     "bspline",
-    "cli",
     "data",
     "forecast",
     "kan",

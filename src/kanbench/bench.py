@@ -38,7 +38,7 @@ from .data import (
 )
 from .forecast import iterative_forecast_batch
 from .kan import kan_init
-from .lstm import lstm_init
+from .lstm import HEAD_ACTIVATIONS, lstm_init
 from .metrics import rmse
 from .numcore import make_rng
 from .optim import TrainConfig, TrainingDiverged, train
@@ -63,6 +63,8 @@ class LstmParams:
     def __post_init__(self):
         if self.layers < 1 or self.units < 1:
             raise ValueError("layers and units must be >= 1")
+        if self.head_activation not in HEAD_ACTIVATIONS:
+            raise ValueError(f"unknown head activation {self.head_activation!r}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,7 @@ class KanParams:
     def __post_init__(self):
         if self.hidden < 0:
             raise ValueError("hidden must be >= 0")
+        SplineSpec(self.grid_size, self.degree)  # raises on a bad grid size or degree
 
 
 @dataclass(frozen=True)
@@ -255,11 +258,15 @@ def build_model(config: ExperimentConfig, n_features: int, rng):
     return lstm_init(n_features, p.units, p.layers, rng, p.head_activation)
 
 
-def model_train_inputs(model_kind: str, ds: WindowedDataset) -> np.ndarray:
-    """Windows in the shape each model family trains on."""
-    if model_kind == "kan":
-        return ds.inputs.reshape(len(ds), -1)
-    return ds.inputs
+def fit(config: ExperimentConfig, prepared: PreparedData):
+    """Build the config's model, train it, and score it on the test split.
+
+    Returns (model, training report, one-step test RMSE).
+    """
+    model = build_model(config, prepared.scaled.shape[1], make_rng(config.seed))
+    report = train(model, prepared.train.inputs, prepared.train.targets, config.train)
+    test_rmse = rmse(prepared.test.targets, model.predict_window_batch(prepared.test.inputs))
+    return model, report, test_rmse
 
 
 # --------------------------------------------------------------------------
@@ -347,13 +354,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Full pipeline for one config; training failures become failure records."""
     validate_config(config)
     prepared = prepare(config)
-    rng = make_rng(config.seed)
-    model = build_model(config, prepared.scaled.shape[1], rng)
-    x_train = model_train_inputs(config.model, prepared.train)
-    x_test = model_train_inputs(config.model, prepared.test)
     try:
-        report = train(model, x_train, prepared.train.targets, config.train)
-        test_rmse = rmse(prepared.test.targets, model.predict_window_batch(x_test))
+        model, report, test_rmse = fit(config, prepared)
         horizons = [_horizon_eval(model, prepared, h) for h in config.horizons]
     except (TrainingDiverged, RuntimeError, ValueError) as err:
         return _failure_result(config, str(err))

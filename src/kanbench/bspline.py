@@ -50,21 +50,6 @@ class SplineSpec:
         return self.domain_lo + (np.arange(g + 2 * k + 1) - k) * self.step
 
 
-@dataclass
-class SplineFunction:
-    """A spec plus one coefficient per basis function."""
-
-    spec: SplineSpec
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-        if self.coefficients.shape != (self.spec.n_basis,):
-            raise ValueError(
-                f"need {self.spec.n_basis} coefficients, got shape {self.coefficients.shape}"
-            )
-
-
 def _check_finite(x: np.ndarray) -> None:
     if not np.all(np.isfinite(x)):
         raise ValueError("spline input must be finite")
@@ -99,11 +84,6 @@ def basis_matrix(spec: SplineSpec, x) -> np.ndarray:
     return _raise_degree(_degree_zero(spec, xc, t), t, xc, spec.degree)
 
 
-def basis_eval(spec: SplineSpec, x: float) -> np.ndarray:
-    """All basis values at a single point; at most k + 1 entries are nonzero."""
-    return basis_matrix(spec, [x])[0]
-
-
 def basis_grad_matrix(spec: SplineSpec, x) -> np.ndarray:
     """First derivative of every basis function at each point.
 
@@ -123,20 +103,3 @@ def basis_grad_matrix(spec: SplineSpec, x) -> np.ndarray:
     grad = k * (lower[:, :nb] / denom_l - lower[:, 1 : nb + 1] / denom_r)
     grad[(x < spec.domain_lo) | (x > spec.domain_hi)] = 0.0
     return grad
-
-
-def basis_grad(spec: SplineSpec, x: float) -> np.ndarray:
-    return basis_grad_matrix(spec, [x])[0]
-
-
-def spline_eval(f: SplineFunction, x: float) -> float:
-    """Dot product of the coefficients with the basis values at x."""
-    return float(basis_eval(f.spec, x) @ f.coefficients)
-
-
-def spline_eval_many(f: SplineFunction, x) -> np.ndarray:
-    return basis_matrix(f.spec, x) @ f.coefficients
-
-
-def spline_grad(f: SplineFunction, x: float) -> float:
-    return float(basis_grad(f.spec, x) @ f.coefficients)

@@ -15,12 +15,11 @@ import numpy as np
 
 from . import bench, kan, lstm
 from .bench import (
-    build_model,
     config_from_dict,
     config_to_dict,
     emit_report,
+    fit,
     load_results,
-    model_train_inputs,
     prepare,
     run_matrix,
     save_results,
@@ -28,9 +27,6 @@ from .bench import (
 )
 from .data import REGIME_PRESETS, MinMaxScaler, gen_synthetic, make_regime, write_csv
 from .forecast import iterative_forecast, write_trace_csv
-from .metrics import rmse
-from .numcore import make_rng
-from .optim import train
 
 REPORT_FORMATS = ("csv", "markdown-table", "gnuplot-data")
 
@@ -102,12 +98,7 @@ def _load_config(path):
 def _cmd_train(args) -> None:
     config = _load_config(args.config)
     prepared = prepare(config)
-    rng = make_rng(config.seed)
-    model = build_model(config, prepared.scaled.shape[1], rng)
-    x_train = model_train_inputs(config.model, prepared.train)
-    x_test = model_train_inputs(config.model, prepared.test)
-    report = train(model, x_train, prepared.train.targets, config.train)
-    test_rmse = rmse(prepared.test.targets, model.predict_window_batch(x_test))
+    model, report, test_rmse = fit(config, prepared)
 
     model_dict = kan.to_json_dict(model) if config.model == "kan" else lstm.to_json_dict(model)
     checkpoint = {
@@ -160,13 +151,7 @@ def _cmd_forecast(args) -> None:
     else:
         raise ValueError(f"checkpoint has unknown model kind {kind!r}")
     window = np.array(bundle["seed_window"], dtype=np.float64)
-    trace = iterative_forecast(
-        model,
-        window,
-        args.horizon,
-        model_tag=kind,
-        close_col=bundle["target_col"],
-    )
+    trace = iterative_forecast(model, window, args.horizon, close_col=bundle["target_col"])
     scaler = MinMaxScaler(bundle["scaler"]["mins"], bundle["scaler"]["maxs"])
     write_trace_csv(trace, args.out, scaler, price_feature=bundle["target_col"])
     print(f"forecast {args.horizon} steps with {kind} -> {args.out}")

@@ -146,12 +146,6 @@ def scaler_fit(train_rows) -> MinMaxScaler:
     return MinMaxScaler(rows.min(axis=0), rows.max(axis=0))
 
 
-def scaler_fit_transform(train_rows, apply_rows):
-    """Fit on train rows only; returns (train scaled, apply scaled, scaler)."""
-    scaler = scaler_fit(train_rows)
-    return scaler.transform(train_rows), scaler.transform(apply_rows), scaler
-
-
 def _feature_index(scaler: MinMaxScaler, feature) -> int:
     if isinstance(feature, str):
         if feature not in COL_INDEX:

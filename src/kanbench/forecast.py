@@ -20,7 +20,6 @@ class ForecastTrace:
     horizon: int
     predictions: np.ndarray  # (H,) scaled closes
     actual: np.ndarray | None  # (H,) scaled ground truth when known
-    model_tag: str = ""
 
     def __post_init__(self):
         self.predictions = np.asarray(self.predictions, dtype=np.float64)
@@ -54,30 +53,15 @@ def iterative_forecast(
     seed_window,
     horizon: int,
     actual=None,
-    model_tag: str = "",
     close_col: int | None = None,
     adj_close_col: int | None = None,
 ) -> ForecastTrace:
-    """Chain one-step predictions H times from an (L, F) scaled window."""
-    window = np.array(seed_window, dtype=np.float64)
+    """Chain one-step predictions H times from one (L, F) scaled window."""
+    window = np.asarray(seed_window, dtype=np.float64)
     if window.ndim != 2:
         raise ValueError(f"seed window must be 2-D (L, F), got shape {window.shape}")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    close_col, adj_close_col = _close_columns(window.shape[1], close_col, adj_close_col)
-
-    preds = np.empty(horizon)
-    for step in range(horizon):
-        p = model.predict_window(window)
-        if not np.isfinite(p):
-            raise RuntimeError(f"non-finite prediction at step {step + 1}")
-        preds[step] = p
-        row = window[-1].copy()
-        row[close_col] = p
-        if adj_close_col is not None:
-            row[adj_close_col] = p
-        window = np.vstack([window[1:], row])
-    return ForecastTrace(horizon, preds, actual, model_tag)
+    preds = iterative_forecast_batch(model, window[None], horizon, close_col, adj_close_col)
+    return ForecastTrace(horizon, preds[0], actual)
 
 
 def iterative_forecast_batch(

@@ -7,12 +7,11 @@ residual weight matrix. The silu residual keeps gradients alive where the
 splines are flat or clamped. All gradients are exact analytic derivatives.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import SplineFunction, SplineSpec, basis_grad_matrix, basis_matrix
+from .bspline import SplineSpec, basis_grad_matrix, basis_matrix
 from .numcore import Rng, silu, silu_grad
 
 
@@ -34,10 +33,6 @@ class KanLayer:
             raise ValueError(f"base shape {self.base.shape} != {(self.out_dim, self.in_dim)}")
         if not (np.all(np.isfinite(self.coef)) and np.all(np.isfinite(self.base))):
             raise ValueError("layer parameters must be finite")
-
-    def edge_spline(self, out_idx: int, in_idx: int) -> SplineFunction:
-        """The learnable univariate spline sitting on one edge."""
-        return SplineFunction(self.spec, self.coef[out_idx, in_idx].copy())
 
 
 @dataclass
@@ -76,27 +71,22 @@ class KanNetwork:
                 pos += a.size
 
     def batch_loss_and_grad(self, inputs, targets):
-        loss, grads = kan_backward(self, inputs, targets)
-        return loss, grads.pack()
-
-    def predict_window(self, window) -> float:
-        """One-step prediction from an (L, F) window, flattened row-major."""
-        return kan_forward(self, np.asarray(window, dtype=np.float64).reshape(-1))
+        return kan_backward(self, _flatten_windows(inputs), targets)
 
     def predict_window_batch(self, windows) -> np.ndarray:
-        w = np.asarray(windows, dtype=np.float64)
-        return kan_forward_batch(self, w.reshape(w.shape[0], -1))
+        return kan_forward_batch(self, _flatten_windows(windows))
 
 
-@dataclass
-class KanGradients:
-    """Loss gradients, shape-congruent with the network they came from."""
+def _flatten_windows(windows) -> np.ndarray:
+    """(B, L, F) windows as (B, L·F) rows, row-major; 2-D rows pass through.
 
-    coef: list[np.ndarray]
-    base: list[np.ndarray]
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for c, b in zip(self.coef, self.base) for a in (c, b)])
+    The reshape is a view for contiguous windows, which is what make_windows
+    returns.
+    """
+    w = np.asarray(windows, dtype=np.float64)
+    if w.ndim != 3:
+        return w
+    return w.reshape(w.shape[0], w.shape[1] * w.shape[2])
 
 
 def kan_init(dims: list[int], spec: SplineSpec, rng: Rng) -> KanNetwork:
@@ -132,16 +122,8 @@ def kan_forward_batch(net: KanNetwork, inputs) -> np.ndarray:
     return x[:, 0]
 
 
-def kan_forward(net: KanNetwork, x) -> float:
-    """Scalar network output for one input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.layers[0].in_dim,):
-        raise ValueError(f"input must have shape ({net.layers[0].in_dim},), got {x.shape}")
-    return float(kan_forward_batch(net, x[None, :])[0])
-
-
 def kan_backward(net: KanNetwork, inputs, targets):
-    """MSE loss over the batch plus exact gradients for every parameter."""
+    """MSE loss over the batch plus exact gradients, packed flat like pack()."""
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -174,7 +156,7 @@ def kan_backward(net: KanNetwork, inputs, targets):
             dphi = basis_grad_matrix(layer.spec, xin.reshape(-1)).reshape(phis[li].shape)
             w = np.einsum("bo,oip->bip", delta, layer.coef)
             delta = (delta @ layer.base) * silu_grad(xin) + np.sum(w * dphi, axis=2)
-    return loss, KanGradients(coef_grads, base_grads)
+    return loss, np.concatenate([a.ravel() for pair in zip(coef_grads, base_grads) for a in pair])
 
 
 def to_json_dict(net: KanNetwork) -> dict:
@@ -200,19 +182,13 @@ def from_json_dict(d: dict) -> KanNetwork:
         raise ValueError(f"not a spline-network checkpoint: kind={d.get('kind')!r}")
     spec = SplineSpec(**d["spec"])
     dims = d["dims"]
+    if len(d["layers"]) != len(dims) - 1:
+        raise ValueError(
+            f"checkpoint has {len(d['layers'])} layers but dims {dims} need {len(dims) - 1}"
+        )
     layers = []
     for (n_in, n_out), ld in zip(zip(dims[:-1], dims[1:]), d["layers"]):
         coef = np.array(ld["coef"], dtype=np.float64).reshape(n_out, n_in, spec.n_basis)
         base = np.array(ld["base"], dtype=np.float64).reshape(n_out, n_in)
         layers.append(KanLayer(n_in, n_out, spec, coef, base))
     return KanNetwork(layers)
-
-
-def save_json(net: KanNetwork, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(net), fh)
-
-
-def load_json(path) -> KanNetwork:
-    with open(path, encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))

@@ -8,7 +8,6 @@ reads the top layer's final hidden state. Gradients come from full BPTT, not
 truncation.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,12 +96,6 @@ class LstmNetwork:
 
     def batch_loss_and_grad(self, inputs, targets):
         return lstm_loss_and_grad(self, inputs, targets)
-
-    def predict_window(self, window) -> float:
-        w = np.asarray(window, dtype=np.float64)
-        if w.ndim != 2 or w.shape[1] != self.input_dim:
-            raise ValueError(f"window must be (steps, {self.input_dim}), got {w.shape}")
-        return float(lstm_forward_batch(self, w[None])[0])
 
     def predict_window_batch(self, windows) -> np.ndarray:
         return lstm_forward_batch(self, np.asarray(windows, dtype=np.float64))
@@ -267,13 +260,3 @@ def from_json_dict(d: dict) -> LstmNetwork:
     )
     net.unpack(np.array(d["params"], dtype=np.float64))
     return net
-
-
-def save_json(net: LstmNetwork, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(net), fh)
-
-
-def load_json(path) -> LstmNetwork:
-    with open(path, encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))

@@ -1,30 +1,10 @@
-"""Evaluation metrics and wall-clock instrumentation.
+"""Evaluation metrics.
 
 RMSE is the primary metric: sqrt((1/n)·sum((y_i − yhat_i)²)), computed on
-scaled values; reports optionally carry a price-unit RMSE obtained through
-the scaler's inverse map. Timing uses the monotonic performance counter and
-is measured around training only, not data preparation.
+scaled values.
 """
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class EvalReport:
-    mse: float
-    rmse: float
-    rmse_price: float | None
-    n: int
-    wall_seconds: float = 0.0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.wall_seconds < 0:
-            raise ValueError("wall_seconds must be >= 0")
 
 
 def _check_pair(actual, predicted):
@@ -46,26 +26,3 @@ def mse(actual, predicted) -> float:
 
 def rmse(actual, predicted) -> float:
     return float(np.sqrt(mse(actual, predicted)))
-
-
-def evaluate(actual, predicted, scaler=None, price_feature="close",
-             wall_seconds: float = 0.0) -> EvalReport:
-    """Full report; price-unit RMSE included when a scaler is supplied."""
-    a, p = _check_pair(actual, predicted)
-    m = float(np.mean((a - p) ** 2))
-    rmse_price = None
-    if scaler is not None:
-        from .data import scaler_inverse
-
-        rmse_price = rmse(
-            scaler_inverse(scaler, a, price_feature),
-            scaler_inverse(scaler, p, price_feature),
-        )
-    return EvalReport(m, float(np.sqrt(m)), rmse_price, a.size, wall_seconds)
-
-
-def measure(fn):
-    """Run fn(); returns (result, elapsed seconds on the monotonic clock)."""
-    t0 = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - t0

@@ -1,7 +1,6 @@
-"""Dense float64 helpers and seeded randomness shared by every module.
+"""Seeded randomness and the float64 activations shared by every module.
 
-Matrices are plain 2-D numpy arrays (row-major, IEEE-754 double). All
-randomness flows through PCG64 generators built by :func:`make_rng`, so a
+All randomness flows through PCG64 generators built by :func:`make_rng`, so a
 seed fully determines every stream on every platform numpy supports.
 """
 
@@ -13,24 +12,6 @@ Rng = np.random.Generator
 def make_rng(seed: int) -> Rng:
     """Deterministic PCG64 generator; equal seeds yield equal streams."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting anything else."""
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix must have positive shape, got {m.shape}")
-    return m
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def sigmoid(x):
@@ -53,18 +34,3 @@ def silu_grad(x):
     x = np.asarray(x, dtype=np.float64)
     s = sigmoid(x)
     return s * (1.0 + x * (1.0 - s))
-
-
-ACTIVATIONS = {
-    "sigmoid": sigmoid,
-    "tanh": np.tanh,
-    "silu": silu,
-    "linear": lambda x: np.asarray(x, dtype=np.float64),
-}
-
-
-def apply_activation(m, kind: str) -> np.ndarray:
-    """Elementwise activation; kind is one of sigmoid, tanh, silu, linear."""
-    if kind not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {kind!r}; choose from {sorted(ACTIVATIONS)}")
-    return ACTIVATIONS[kind](m)

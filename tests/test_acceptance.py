@@ -75,12 +75,20 @@ def worst_mismatch(analytic, numeric, abs_floor=1e-8):
     return float(rel.max())
 
 
+def max_errors(analytic, numeric):
+    """True (max absolute, max relative) error over every coordinate, unfloored."""
+    diff = np.abs(analytic - numeric)
+    scale = np.maximum(np.abs(analytic), np.abs(numeric))
+    return float(diff.max()), float((diff / np.maximum(scale, 1e-300)).max())
+
+
 def test_criterion_1_gradient_correctness(capsys):
     t0 = time.perf_counter()
     ok, detail = True, ""
     try:
         rng = make_rng(101)
         worst_kan = 0.0
+        errs_kan = []
         kan = kan_init([4, 3, 1], SplineSpec(4, 3), rng)
         x = rng.uniform(0.05, 0.95, size=(12, 4))
         y = rng.uniform(-0.5, 0.5, size=12)
@@ -93,9 +101,12 @@ def test_criterion_1_gradient_correctness(capsys):
             point = rng.normal(0.0, 0.3, size=kan.pack().size)
             kan.unpack(point)
             _, analytic = kan.batch_loss_and_grad(x, y)
-            worst_kan = max(worst_kan, worst_mismatch(analytic, fd_grad(kan_loss, point)))
+            numeric = fd_grad(kan_loss, point)
+            worst_kan = max(worst_kan, worst_mismatch(analytic, numeric))
+            errs_kan.append(max_errors(analytic, numeric))
 
         worst_lstm = 0.0
+        errs_lstm = []
         lstm = lstm_init(3, hidden=5, n_layers=2, rng=rng, head_activation="tanh")
         xs = rng.uniform(-1.0, 1.0, size=(10, 7, 3))
         ys = rng.uniform(-0.8, 0.8, size=10)
@@ -108,14 +119,18 @@ def test_criterion_1_gradient_correctness(capsys):
             point = rng.normal(0.0, 0.4, size=lstm.pack().size)
             lstm.unpack(point)
             _, analytic = lstm.batch_loss_and_grad(xs, ys)
-            worst_lstm = max(
-                worst_lstm, worst_mismatch(analytic, fd_grad(lstm_loss, point))
-            )
+            numeric = fd_grad(lstm_loss, point)
+            worst_lstm = max(worst_lstm, worst_mismatch(analytic, numeric))
+            errs_lstm.append(max_errors(analytic, numeric))
 
         elapsed = time.perf_counter() - t0
         ok = worst_kan <= 1e-4 and worst_lstm <= 1e-4 and elapsed < 30.0
+        abs_kan, rel_kan = np.max(errs_kan, axis=0)
+        abs_lstm, rel_lstm = np.max(errs_lstm, axis=0)
         detail = (
-            f"max rel err: kan {worst_kan:.2e}, lstm {worst_lstm:.2e}; "
+            f"max abs err: kan {abs_kan:.2e}, lstm {abs_lstm:.2e}; "
+            f"max rel err: kan {rel_kan:.2e}, lstm {rel_lstm:.2e}; "
+            f"rule: rel err <= 1e-4 wherever abs err > 1e-8; "
             f"5 points each, h=1e-5; {elapsed:.1f}s < 30s"
         )
     except Exception as err:

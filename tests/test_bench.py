@@ -144,6 +144,14 @@ class TestValidation:
             DataConfig(source="csv")
         with pytest.raises(ValueError, match="feature_mode"):
             DataConfig(feature_mode="typo")
+        # bad model params fail at parse time, not later inside the matrix
+        for model, params, match in (
+            ("kan", {"grid_size": 0}, "grid_size"),
+            ("kan", {"degree": 0}, "degree"),
+            ("lstm", {"head_activation": "relu"}, "head activation"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                config_from_dict({"model": model, model: params})
 
 
 class TestPrepare:
@@ -189,9 +197,6 @@ class TestPrepare:
 
 class StepAheadOracle:
     """Predicts the previous close — transparent for walk-forward checks."""
-
-    def predict_window(self, window):
-        return float(window[-1, 0])
 
     def predict_window_batch(self, windows):
         return windows[:, -1, 0]

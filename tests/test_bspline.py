@@ -5,17 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kanbench.bspline import (
-    SplineFunction,
-    SplineSpec,
-    basis_eval,
-    basis_grad,
-    basis_grad_matrix,
-    basis_matrix,
-    spline_eval,
-    spline_eval_many,
-    spline_grad,
-)
+from kanbench.bspline import SplineSpec, basis_grad_matrix, basis_matrix
 from kanbench.numcore import make_rng
 
 
@@ -90,8 +80,9 @@ class TestBasisAgainstNaiveOracle:
     def test_degree_one_hat_hand_values(self):
         # G=2, k=1 on [0,1]: knots (-0.5, 0, 0.5, 1, 1.5), three hat functions
         spec = SplineSpec(2, 1)
-        assert np.allclose(basis_eval(spec, 0.25), [0.5, 0.5, 0.0], atol=1e-15)
-        assert np.allclose(basis_eval(spec, 0.0), [1.0, 0.0, 0.0], atol=1e-15)
+        b = basis_matrix(spec, [0.25, 0.0])
+        assert np.allclose(b[0], [0.5, 0.5, 0.0], atol=1e-15)
+        assert np.allclose(b[1], [1.0, 0.0, 0.0], atol=1e-15)
 
 
 class TestBasisProperties:
@@ -102,7 +93,7 @@ class TestBasisProperties:
         st.floats(min_value=0.0, max_value=1.0),
     )
     def test_partition_of_unity(self, grid_size, degree, x):
-        total = basis_eval(SplineSpec(grid_size, degree), x).sum()
+        total = basis_matrix(SplineSpec(grid_size, degree), [x]).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_nonnegative_and_local_support(self):
@@ -118,16 +109,16 @@ class TestBasisProperties:
 
     def test_out_of_domain_clamps_to_boundary(self):
         spec = SplineSpec(4, 3)
-        lo_val = basis_eval(spec, 0.0)
-        hi_val = basis_eval(spec, 1.0)
-        assert np.allclose(basis_eval(spec, -7.5), lo_val, atol=1e-15)
-        assert np.allclose(basis_eval(spec, 9.0), hi_val, atol=1e-15)
+        lo_val, hi_val, below, above = basis_matrix(spec, [0.0, 1.0, -7.5, 9.0])
+        assert np.allclose(below, lo_val, atol=1e-15)
+        assert np.allclose(above, hi_val, atol=1e-15)
         assert hi_val.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_right_endpoint_continuous_from_left(self):
         spec = SplineSpec(5, 2)
         eps = 1e-10
-        assert np.allclose(basis_eval(spec, 1.0), basis_eval(spec, 1.0 - eps), atol=1e-8)
+        at_end, before = basis_matrix(spec, [1.0, 1.0 - eps])
+        assert np.allclose(at_end, before, atol=1e-8)
 
 
 class TestBasisGradient:
@@ -155,43 +146,33 @@ class TestBasisGradient:
         assert np.allclose(g.sum(axis=1), 0.0, atol=1e-12)
 
     def test_basis_grad_single_point(self):
+        # rows are independent: one point alone equals its row among many
         spec = SplineSpec(3, 2)
-        x = 0.37
-        assert np.allclose(basis_grad(spec, x), basis_grad_matrix(spec, np.array([x]))[0])
+        x = np.array([0.1, 0.37, 0.8])
+        assert np.array_equal(basis_grad_matrix(spec, x[1:2])[0], basis_grad_matrix(spec, x)[1])
 
 
 class TestSplineFunction:
-    def test_eval_is_coefficient_dot_basis(self):
-        spec = SplineSpec(5, 3)
-        rng = make_rng(3)
-        coef = rng.normal(size=spec.n_basis)
-        fn = SplineFunction(spec, coef)
-        for x in (0.0, 0.21, 0.5, 0.99, 1.0):
-            assert spline_eval(fn, x) == pytest.approx(float(coef @ basis_eval(spec, x)))
+    """A spline is its coefficients contracted with the basis, as on a KAN edge."""
 
     def test_eval_many_matches_scalar(self):
         spec = SplineSpec(4, 2)
-        fn = SplineFunction(spec, np.arange(spec.n_basis, dtype=float))
+        coef = np.arange(spec.n_basis, dtype=float)
         x = np.linspace(-0.2, 1.2, 15)
-        many = spline_eval_many(fn, x)
-        assert np.allclose(many, [spline_eval(fn, xi) for xi in x])
+        many = basis_matrix(spec, x) @ coef
+        singles = [basis_matrix(spec, [xi])[0] @ coef for xi in x]
+        assert np.allclose(many, singles, rtol=0, atol=1e-12)
 
     def test_grad_matches_finite_difference(self):
         spec = SplineSpec(6, 3)
-        fn = SplineFunction(spec, make_rng(11).normal(size=spec.n_basis))
+        coef = make_rng(11).normal(size=spec.n_basis)
         h = 1e-6
-        for x in (0.13, 0.42, 0.77):
-            num = (spline_eval(fn, x + h) - spline_eval(fn, x - h)) / (2 * h)
-            assert spline_grad(fn, x) == pytest.approx(num, abs=1e-6)
-
-    def test_coefficient_length_validated(self):
-        spec = SplineSpec(4, 2)
-        with pytest.raises(ValueError):
-            SplineFunction(spec, np.zeros(spec.n_basis + 1))
+        x = np.array([0.13, 0.42, 0.77])
+        num = (basis_matrix(spec, x + h) @ coef - basis_matrix(spec, x - h) @ coef) / (2 * h)
+        assert np.allclose(basis_grad_matrix(spec, x) @ coef, num, rtol=0, atol=1e-6)
 
     def test_constant_spline_reproduces_constant(self):
         # partition of unity makes equal coefficients an exact constant
         spec = SplineSpec(8, 3)
-        fn = SplineFunction(spec, np.full(spec.n_basis, 2.5))
         x = np.linspace(0, 1, 33)
-        assert np.allclose(spline_eval_many(fn, x), 2.5, atol=1e-12)
+        assert np.allclose(basis_matrix(spec, x) @ np.full(spec.n_basis, 2.5), 2.5, atol=1e-12)

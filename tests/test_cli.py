@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, artifact chains, error routing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,18 @@ def tiny_experiment(model="kan", **overrides):
         cfg["lstm"] = {"layers": 1, "units": 4}
     cfg.update(overrides)
     return cfg
+
+
+class TestModuleEntry:
+    def test_python_m_runs_without_runtime_warning(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "kanbench.cli", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert "usage: kanbench" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestUsageErrors:

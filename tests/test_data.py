@@ -22,7 +22,6 @@ from kanbench.data import (
     make_regime,
     make_windows,
     scaler_fit,
-    scaler_fit_transform,
     scaler_inverse,
     write_csv,
 )
@@ -170,22 +169,18 @@ class TestScaler:
         assert out[0, 0] == 0.5
         assert out[0, 1] == pytest.approx(0.5)
 
-    def test_fit_transform_returns_both_arrays(self):
-        train = np.array([[0.0], [4.0]])
-        apply = np.array([[2.0], [8.0]])
-        tr, ap, scaler = scaler_fit_transform(train, apply)
-        assert np.allclose(tr[:, 0], [0.0, 1.0])
-        assert np.allclose(ap[:, 0], [0.5, 2.0])
-        assert isinstance(scaler, MinMaxScaler)
-
     def test_fit_uses_train_rows_only(self):
         rng = make_rng(0)
         train = rng.uniform(0, 1, size=(30, 6))
         test = rng.uniform(5, 9, size=(10, 6))  # wildly different range
-        _, _, scaler = scaler_fit_transform(train, test)
-        again = scaler_fit(train)
-        assert np.array_equal(scaler.mins, again.mins)
-        assert np.array_equal(scaler.maxs, again.maxs)
+        scaler = scaler_fit(train)
+        assert np.array_equal(scaler.mins, train.min(axis=0))
+        assert np.array_equal(scaler.maxs, train.max(axis=0))
+        scaled = scaler.transform(train)
+        assert np.array_equal(scaled.min(axis=0), np.zeros(6))
+        assert np.array_equal(scaled.max(axis=0), np.ones(6))
+        # test rows map through the training fit, so they land above 1
+        assert np.all(scaler.transform(test) > 1.0)
 
     @settings(deadline=None, max_examples=50)
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=20))

@@ -1,5 +1,6 @@
 """Iterative forecasting: manual chaining oracle, prefix consistency,
-batch/scalar agreement, pseudo-row column handling, failure behavior."""
+row independence of batched rollouts, pseudo-row column handling, failure
+behavior."""
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from kanbench.numcore import make_rng
 
 
 class MeanCloseModel:
-    """Transparent reference model: predicts the mean close of the window.
+    """Transparent reference model: predicts the mean close of each window.
 
     Chaining is easy to reproduce by hand, so the pseudo-row mechanics of
     iterative_forecast can be checked against an explicit loop.
@@ -27,25 +28,19 @@ class MeanCloseModel:
     def __init__(self, close_col):
         self.close_col = close_col
 
-    def predict_window(self, window):
-        return float(np.mean(window[:, self.close_col]))
-
     def predict_window_batch(self, windows):
         return np.mean(windows[:, :, self.close_col], axis=1)
 
 
 class LastRowEcho:
-    """Predicts the last row's close; exposes the window it saw for spying."""
+    """Predicts the last row's close; keeps the first window of each call."""
 
     def __init__(self, close_col=0):
         self.close_col = close_col
         self.seen = []
 
-    def predict_window(self, window):
-        self.seen.append(window.copy())
-        return float(window[-1, self.close_col])
-
     def predict_window_batch(self, windows):
+        self.seen.append(windows[0].copy())
         return windows[:, -1, self.close_col]
 
 
@@ -53,10 +48,6 @@ class NanAtStep:
     def __init__(self, bad_step):
         self.bad_step = bad_step
         self.calls = 0
-
-    def predict_window(self, window):
-        self.calls += 1
-        return np.nan if self.calls == self.bad_step else 0.5
 
     def predict_window_batch(self, windows):
         self.calls += 1
@@ -76,7 +67,7 @@ class TestIterativeForecast:
         model = MeanCloseModel(CLOSE)
         trace = iterative_forecast(model, window, horizon=1)
         assert trace.horizon == 1
-        assert trace.predictions[0] == model.predict_window(window)
+        assert trace.predictions[0] == np.mean(window[:, CLOSE])
 
     def test_manual_chaining_oracle_h3(self):
         # Reproduce three steps of copy-forward chaining entirely by hand.
@@ -167,6 +158,7 @@ class TestIterativeForecast:
 
 
 class TestBatchForecast:
+    # rows are independent: B windows at once equal each window rolled alone
     def test_matches_scalar_loop_reference_model(self):
         rng = make_rng(7)
         windows = rng.uniform(0.1, 0.9, size=(5, 6, 6))
@@ -210,9 +202,7 @@ class TestTrace:
         scaler = MinMaxScaler(
             [0.0, 0.0, 0.0, 100.0, 100.0, 0.0], [1.0, 1.0, 1.0, 300.0, 300.0, 1.0]
         )
-        trace = ForecastTrace(
-            2, np.array([0.25, 0.5]), np.array([0.3, 0.4]), model_tag="oracle"
-        )
+        trace = ForecastTrace(2, np.array([0.25, 0.5]), np.array([0.3, 0.4]))
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path, scaler=scaler)
         lines = path.read_text().splitlines()

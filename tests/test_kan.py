@@ -1,19 +1,18 @@
 """Spline-edge networks: forward oracle, exact gradients, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
-from kanbench.bspline import SplineFunction, SplineSpec, spline_eval
+from kanbench.bspline import SplineSpec, basis_matrix
 from kanbench.kan import (
     KanLayer,
     KanNetwork,
     from_json_dict,
     kan_backward,
-    kan_forward,
     kan_forward_batch,
     kan_init,
-    load_json,
-    save_json,
     to_json_dict,
 )
 from kanbench.numcore import make_rng, silu
@@ -65,10 +64,9 @@ class TestForwardOracle:
         coef = rng.normal(size=(1, 1, spec.n_basis))
         base = np.array([[0.7]])
         net = KanNetwork([KanLayer(1, 1, spec, coef, base)])
-        fn = SplineFunction(spec, coef[0, 0])
-        for x in (0.0, 0.2, 0.55, 0.9, 1.0):
-            expected = 0.7 * float(silu(np.array([x]))[0]) + spline_eval(fn, x)
-            assert kan_forward(net, [x]) == pytest.approx(expected, abs=1e-12)
+        x = np.array([0.0, 0.2, 0.55, 0.9, 1.0])
+        expected = 0.7 * silu(x) + basis_matrix(spec, x) @ coef[0, 0]
+        assert np.allclose(kan_forward_batch(net, x[:, None]), expected, rtol=0, atol=1e-12)
 
     def test_node_sums_incoming_edges(self):
         # [2,1]: output equals the sum of the two single-edge sub-networks
@@ -81,25 +79,21 @@ class TestForwardOracle:
         parts = []
         for i in range(2):
             sub = KanNetwork([KanLayer(1, 1, spec, coef[:, i : i + 1], base[:, i : i + 1])])
-            parts.append(kan_forward(sub, [x[i]]))
-        assert kan_forward(net, x) == pytest.approx(sum(parts), abs=1e-12)
+            parts.append(kan_forward_batch(sub, x[None, i : i + 1])[0])
+        assert kan_forward_batch(net, x[None])[0] == pytest.approx(sum(parts), abs=1e-12)
 
     def test_batch_matches_scalar(self):
+        # rows are independent: B rows at once equal each row with B=1
         net = small_net()
         x = make_rng(2).uniform(-0.2, 1.2, size=(9, 4))
         batch = kan_forward_batch(net, x)
-        singles = [kan_forward(net, row) for row in x]
+        singles = [kan_forward_batch(net, row[None])[0] for row in x]
         assert np.allclose(batch, singles, atol=1e-12)
-
-    def test_edge_spline_accessor(self):
-        net = small_net()
-        fn = net.layers[0].edge_spline(2, 1)
-        assert np.array_equal(fn.coefficients, net.layers[0].coef[2, 1])
 
     def test_input_validation(self):
         net = small_net()
         with pytest.raises(ValueError):
-            kan_forward(net, [0.1, 0.2])  # wrong length
+            kan_forward_batch(net, np.full((1, 2), 0.1))  # wrong width
         with pytest.raises(ValueError):
             kan_forward_batch(net, np.full((2, 4), np.nan))
 
@@ -111,8 +105,8 @@ class TestGradients:
         rng = make_rng(17)
         x = rng.uniform(0.05, 0.95, size=(5, dims[0]))
         y = rng.normal(size=5)
-        _, grads = kan_backward(net, x, y)
-        flat, g = net.pack(), grads.pack()
+        _, g = kan_backward(net, x, y)
+        flat = net.pack()
         h = 1e-5
         for i in range(0, flat.size, max(1, flat.size // 60)):  # spot-check coords
             fp = flat.copy(); fp[i] += h
@@ -139,7 +133,7 @@ class TestGradients:
         y = kan_forward_batch(net, x)
         loss, grads = kan_backward(net, x, y)
         assert loss == pytest.approx(0.0, abs=1e-28)
-        assert np.allclose(grads.pack(), 0.0, atol=1e-14)
+        assert np.allclose(grads, 0.0, atol=1e-14)
 
     def test_batch_loss_and_grad_packs_flat(self):
         net = small_net()
@@ -148,6 +142,11 @@ class TestGradients:
         loss, flat = net.batch_loss_and_grad(x, y)
         assert flat.shape == (net.n_params,)
         assert np.isfinite(loss)
+        # (B, L, F) windows train exactly as their row-major (B, L*F) flattening
+        windows = x.reshape(3, 2, 2)
+        loss_w, flat_w = net.batch_loss_and_grad(windows, y)
+        assert loss_w == loss and np.array_equal(flat_w, flat)
+        assert np.array_equal(net.predict_window_batch(windows), kan_forward_batch(net, x))
 
 
 class TestPackUnpack:
@@ -167,11 +166,9 @@ class TestPackUnpack:
 
 
 class TestSerialization:
-    def test_json_round_trip_exact(self, tmp_path):
+    def test_json_round_trip_exact(self):
         net = small_net((3, 2, 1), seed=21)
-        path = tmp_path / "kan.json"
-        save_json(net, path)
-        loaded = load_json(path)
+        loaded = from_json_dict(json.loads(json.dumps(to_json_dict(net))))
         assert loaded.dims == net.dims
         assert np.array_equal(loaded.pack(), net.pack())
         assert loaded.layers[0].spec == net.layers[0].spec
@@ -179,6 +176,12 @@ class TestSerialization:
     def test_kind_checked(self):
         with pytest.raises(ValueError, match="kind"):
             from_json_dict({"kind": "lstm"})
+
+    def test_layer_count_must_match_dims(self):
+        d = to_json_dict(small_net((4, 1), seed=5))
+        d["dims"] = [4, 1, 1]  # one layer entry for two layers' worth of dims
+        with pytest.raises(ValueError, match="layers"):
+            from_json_dict(d)
 
     def test_dict_round_trip(self):
         net = small_net((2, 1), seed=33)

@@ -1,5 +1,6 @@
 """LSTM: gate-equation oracle, BPTT gradient checks, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -12,8 +13,6 @@ from kanbench.lstm import (
     lstm_forward_batch,
     lstm_init,
     lstm_loss_and_grad,
-    load_json,
-    save_json,
     to_json_dict,
 )
 from kanbench.numcore import make_rng
@@ -82,7 +81,7 @@ class TestForwardOracle:
             c = f * c + i * g
             h = o * math.tanh(c)
         expected = 1.3 * h
-        got = net.predict_window(np.array([[0.3], [-0.2]]))
+        got = lstm_forward_batch(net, np.array([[[0.3], [-0.2]]]))[0]
         assert got == pytest.approx(expected, abs=1e-14)
 
     def test_tanh_head(self):
@@ -98,10 +97,11 @@ class TestForwardOracle:
         assert np.array_equal(lstm_forward_batch(net, x), np.zeros(3))
 
     def test_batch_matches_single(self):
+        # rows are independent: B windows at once equal each window with B=1
         net = small_net(seed=11)
         x = make_rng(4).normal(size=(6, 8, 3))
         batch = lstm_forward_batch(net, x)
-        singles = [net.predict_window(w) for w in x]
+        singles = [net.predict_window_batch(w[None])[0] for w in x]
         assert np.allclose(batch, singles, atol=1e-12)
 
     def test_stacking_feeds_hidden_stream_up(self):
@@ -116,7 +116,7 @@ class TestForwardOracle:
         with pytest.raises(ValueError):
             lstm_forward_batch(net, np.zeros((2, 4, 99)))
         with pytest.raises(ValueError):
-            net.predict_window(np.zeros((4, 99)))
+            lstm_forward_batch(net, np.zeros((4, 3)))  # a window without its batch axis
 
 
 class TestGradients:
@@ -173,11 +173,9 @@ class TestPackUnpack:
 
 
 class TestSerialization:
-    def test_json_round_trip_exact(self, tmp_path):
+    def test_json_round_trip_exact(self):
         net = small_net(seed=55, head="tanh")
-        path = tmp_path / "lstm.json"
-        save_json(net, path)
-        loaded = load_json(path)
+        loaded = from_json_dict(json.loads(json.dumps(to_json_dict(net))))
         assert np.array_equal(loaded.pack(), net.pack())
         assert loaded.head_activation == "tanh"
         assert loaded.input_dim == net.input_dim

@@ -1,13 +1,10 @@
-"""Error metrics and timing: hand values, algebraic identities, invariances."""
-
-import math
+"""Error metrics: hand values, algebraic identities, invariances."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kanbench.data import MinMaxScaler
-from kanbench.metrics import EvalReport, evaluate, measure, mse, rmse
+from kanbench.metrics import mse, rmse
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -100,49 +97,3 @@ class TestMseRmse:
         with pytest.raises(ValueError, match="finite"):
             rmse([0.0], [np.inf])
 
-
-class TestEvaluate:
-    def test_scaled_and_price_rmse(self):
-        # span 100..200: price error = 100 * scaled error exactly
-        scaler = MinMaxScaler([0.0, 0.0, 0.0, 100.0, 0.0, 0.0], [1.0, 1.0, 1.0, 200.0, 1.0, 1.0])
-        pred = np.array([0.5, 0.7])
-        actual = np.array([0.4, 0.9])
-        report = evaluate(actual, pred, scaler=scaler, price_feature="close")
-        assert report.rmse == pytest.approx(rmse(pred, actual), rel=1e-15)
-        assert report.rmse_price == pytest.approx(100.0 * report.rmse, rel=1e-12)
-        assert report.n == 2
-
-    def test_without_scaler_price_is_none(self):
-        report = evaluate([0.1], [0.2])
-        assert report.rmse_price is None
-        assert report.mse == pytest.approx(0.01, rel=1e-12)
-
-    def test_wall_seconds_recorded(self):
-        report = evaluate([0.0], [1.0], wall_seconds=2.5)
-        assert report.wall_seconds == 2.5
-
-    def test_report_validation(self):
-        with pytest.raises(ValueError):
-            EvalReport(mse=1.0, rmse=1.0, rmse_price=None, n=0, wall_seconds=0.0)
-        with pytest.raises(ValueError):
-            EvalReport(mse=1.0, rmse=1.0, rmse_price=None, n=1, wall_seconds=-0.1)
-
-
-class TestMeasure:
-    def test_returns_value_and_nonnegative_time(self):
-        value, seconds = measure(lambda: 2 + 2)
-        assert value == 4
-        assert seconds >= 0.0
-
-    def test_times_a_sleep(self):
-        import time
-
-        _, seconds = measure(lambda: time.sleep(0.05))
-        assert seconds >= 0.04
-
-    def test_exception_propagates(self):
-        def boom():
-            raise RuntimeError("inner")
-
-        with pytest.raises(RuntimeError, match="inner"):
-            measure(boom)

@@ -1,19 +1,10 @@
-"""Numeric primitives: RNG construction, array validation, activations."""
+"""Numeric primitives: RNG construction and activations."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kanbench.numcore import (
-    ACTIVATIONS,
-    apply_activation,
-    as_matrix,
-    make_rng,
-    matmul,
-    sigmoid,
-    silu,
-    silu_grad,
-)
+from kanbench.numcore import make_rng, sigmoid, silu, silu_grad
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -33,31 +24,6 @@ class TestMakeRng:
         rng = make_rng(0)
         assert isinstance(rng, np.random.Generator)
         assert type(rng.bit_generator).__name__ == "PCG64"
-
-
-class TestAsMatrix:
-    def test_accepts_2d(self):
-        m = as_matrix([[1.0, 2.0], [3.0, 4.0]])
-        assert m.shape == (2, 2) and m.dtype == np.float64
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            as_matrix([1.0, 2.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            as_matrix(np.empty((0, 3)))
-
-
-class TestMatmul:
-    def test_matches_numpy(self):
-        rng = make_rng(0)
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
-        assert np.allclose(matmul(a, b), a @ b)
-
-    def test_shape_mismatch_names_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestSigmoid:
@@ -88,19 +54,3 @@ class TestSilu:
         num = (silu(x + h) - silu(x - h)) / (2 * h)
         assert np.allclose(silu_grad(x), num, atol=1e-7)
 
-
-class TestApplyActivation:
-    def test_all_kinds_present(self):
-        assert set(ACTIVATIONS) == {"sigmoid", "tanh", "silu", "linear"}
-
-    def test_linear_is_identity(self):
-        m = np.array([[1.5, -2.0]])
-        assert np.array_equal(apply_activation(m, "linear"), m)
-
-    def test_tanh(self):
-        m = np.array([[0.5]])
-        assert apply_activation(m, "tanh")[0, 0] == pytest.approx(np.tanh(0.5))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="spam"):
-            apply_activation(np.ones((1, 1)), "spam")
