@@ -102,10 +102,13 @@ def kan_init(dims: list[int], spec: SplineSpec, rng: Rng) -> KanNetwork:
 
 
 def _layer_forward(layer: KanLayer, x: np.ndarray):
-    phi = basis_matrix(layer.spec, x.reshape(-1)).reshape(
-        x.shape[0], layer.in_dim, layer.spec.n_basis
-    )
-    out = silu(x) @ layer.base.T + np.einsum("bip,oip->bo", phi, layer.coef)
+    """Layer outputs (B, out_dim) and the basis rows (B, in_dim·n_basis).
+
+    The spline term contracts (i, p) jointly as one matmul against the
+    coefficients flattened to (out_dim, in_dim·n_basis) in (o, i, p) order.
+    """
+    phi = basis_matrix(layer.spec, x.reshape(-1)).reshape(x.shape[0], -1)
+    out = silu(x) @ layer.base.T + phi @ layer.coef.reshape(layer.out_dim, -1).T
     return out, phi
 
 
@@ -150,11 +153,12 @@ def kan_backward(net: KanNetwork, inputs, targets):
     for li in reversed(range(n)):
         layer = net.layers[li]
         xin = acts[li]
-        coef_grads[li] = np.einsum("bo,bip->oip", delta, phis[li])
+        coef_grads[li] = (delta.T @ phis[li]).reshape(layer.coef.shape)
         base_grads[li] = delta.T @ silu(xin)
         if li > 0:
-            dphi = basis_grad_matrix(layer.spec, xin.reshape(-1)).reshape(phis[li].shape)
-            w = np.einsum("bo,oip->bip", delta, layer.coef)
+            shape = (xin.shape[0], layer.in_dim, layer.spec.n_basis)
+            dphi = basis_grad_matrix(layer.spec, xin.reshape(-1)).reshape(shape)
+            w = (delta @ layer.coef.reshape(layer.out_dim, -1)).reshape(shape)
             delta = (delta @ layer.base) * silu_grad(xin) + np.sum(w * dphi, axis=2)
     return loss, np.concatenate([a.ravel() for pair in zip(coef_grads, base_grads) for a in pair])
 

@@ -148,6 +148,9 @@ class TestValidation:
         for model, params, match in (
             ("kan", {"grid_size": 0}, "grid_size"),
             ("kan", {"degree": 0}, "degree"),
+            ("kan", {"grid_size": 2.5}, "grid_size"),
+            ("kan", {"grid_size": True}, "grid_size"),
+            ("kan", {"degree": 2.0}, "degree"),
             ("lstm", {"head_activation": "relu"}, "head activation"),
         ):
             with pytest.raises(ValueError, match=match):

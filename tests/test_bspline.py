@@ -1,5 +1,6 @@
-"""B-spline basis: oracle checks against a naive recursive evaluator,
-partition of unity, local support, boundary clamping, and derivatives."""
+"""B-spline basis: oracle checks against a naive recursive evaluator and
+the vectorised Cox-de Boor recursion, partition of unity, local support,
+boundary clamping, and derivatives."""
 
 import numpy as np
 import pytest
@@ -26,6 +27,45 @@ def naive_basis(knots, j, k, x):
     return left + right
 
 
+def cox_de_boor(spec, x, degree):
+    """All basis functions of the given degree on spec's knots, by the general
+    Cox-de Boor recursion over the whole knot line. Vectorised oracle.
+
+    Points are clamped to the domain, and degree zero puts unit mass on the
+    containing interval, snapped into the G in-domain intervals so that the
+    right boundary evaluates as its left limit.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    xc = np.clip(x, spec.domain_lo, spec.domain_hi)
+    t = spec.knots()
+    n_int = t.size - 1
+    idx = np.searchsorted(t, xc, side="right") - 1
+    idx = np.clip(idx, spec.degree, spec.degree + spec.grid_size - 1)
+    b = np.zeros((xc.size, n_int))
+    b[np.arange(xc.size), idx] = 1.0
+    for d in range(1, degree + 1):
+        cols = n_int - d
+        left = (xc[:, None] - t[:cols]) / (t[d : d + cols] - t[:cols])
+        right = (t[d + 1 : d + 1 + cols] - xc[:, None]) / (t[d + 1 : d + 1 + cols] - t[1 : 1 + cols])
+        b = left * b[:, :cols] + right * b[:, 1 : cols + 1]
+    return b
+
+
+def cox_de_boor_grad(spec, x):
+    """Derivatives by degree reduction,
+    B'_{j,k} = k * (B_{j,k-1}/(t_{j+k}-t_j) - B_{j+1,k-1}/(t_{j+k+1}-t_{j+1})),
+    with zero rows strictly outside the domain."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    t = spec.knots()
+    k, nb = spec.degree, spec.n_basis
+    lower = cox_de_boor(spec, x, k - 1)
+    denom_l = t[k : k + nb] - t[:nb]
+    denom_r = t[k + 1 : k + 1 + nb] - t[1 : 1 + nb]
+    grad = k * (lower[:, :nb] / denom_l - lower[:, 1 : nb + 1] / denom_r)
+    grad[(x < spec.domain_lo) | (x > spec.domain_hi)] = 0.0
+    return grad
+
+
 class TestSplineSpec:
     def test_knot_layout(self):
         spec = SplineSpec(grid_size=4, degree=2)
@@ -50,6 +90,13 @@ class TestSplineSpec:
             {"grid_size": 0, "degree": 2},
             {"grid_size": 3, "degree": -1},
             {"grid_size": 3, "degree": 2, "domain_lo": 1.0, "domain_hi": 0.0},
+            # the kernel indexes with both sizes: only a true int is a size
+            {"grid_size": 2.5, "degree": 2},
+            {"grid_size": 3.0, "degree": 2},
+            {"grid_size": True, "degree": 2},
+            {"grid_size": 3, "degree": 2.0},
+            {"grid_size": 3, "degree": True},
+            {"grid_size": "3", "degree": 2},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -83,6 +130,62 @@ class TestBasisAgainstNaiveOracle:
         b = basis_matrix(spec, [0.25, 0.0])
         assert np.allclose(b[0], [0.5, 0.5, 0.0], atol=1e-15)
         assert np.allclose(b[1], [1.0, 0.0, 0.0], atol=1e-15)
+
+
+class TestBasisAgainstCoxDeBoor:
+    """The uniform-grid kernel against the general recursion on the same knots."""
+
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), (-0.7, 1.9), (-3.0, -1.0)])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_values_and_gradients_match(self, domain, degree):
+        lo, hi = domain
+        rng = make_rng(31 * degree)
+        for grid_size in range(1, 11):
+            spec = SplineSpec(grid_size, degree, lo, hi)
+            width = hi - lo
+            # interior points, every knot (the extension knots lie outside),
+            # both ends, and points outside the domain
+            x = np.concatenate(
+                [
+                    rng.uniform(lo, hi, size=60),
+                    spec.knots(),
+                    [lo, hi, lo - 0.3 * width, hi + 0.3 * width, lo - 5.0, hi + 5.0],
+                ]
+            )
+            np.testing.assert_allclose(
+                basis_matrix(spec, x), cox_de_boor(spec, x, degree), rtol=0, atol=1e-13
+            )
+            np.testing.assert_allclose(
+                basis_grad_matrix(spec, x),
+                cox_de_boor_grad(spec, x),
+                rtol=0,
+                atol=1e-13 / spec.step,
+            )
+
+    def test_interior_knot_takes_the_interval_it_starts(self):
+        # The knot lo + 7 * step, about 1.575, is 1.5749999999999995 in floats.
+        # Locating it by floor((x - lo) / step) rounds into the interval that
+        # ends there, where the k=1 derivative differs by 2 / step.
+        spec = SplineSpec(8, 1, -0.7, 1.9)
+        x = spec.knots()[spec.degree + 7 : spec.degree + 8]
+        assert x[0] == pytest.approx(1.575, abs=1e-12)
+        np.testing.assert_allclose(
+            basis_grad_matrix(spec, x), cox_de_boor_grad(spec, x), rtol=0, atol=1e-13 / spec.step
+        )
+        np.testing.assert_allclose(basis_matrix(spec, x), cox_de_boor(spec, x, 1), rtol=0, atol=1e-13)
+
+    def test_empty_input(self):
+        spec = SplineSpec(4, 3)
+        assert basis_matrix(spec, []).shape == (0, spec.n_basis)
+        assert basis_grad_matrix(spec, np.empty(0)).shape == (0, spec.n_basis)
+
+    def test_non_finite_input_rejected(self):
+        spec = SplineSpec(4, 3)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                basis_matrix(spec, [0.5, bad])
+            with pytest.raises(ValueError, match="finite"):
+                basis_grad_matrix(spec, [bad])
 
 
 class TestBasisProperties:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kanbench.bspline import SplineSpec, basis_matrix
+from kanbench.bspline import SplineSpec, basis_grad_matrix, basis_matrix
 from kanbench.kan import (
     KanLayer,
     KanNetwork,
@@ -15,7 +15,7 @@ from kanbench.kan import (
     kan_init,
     to_json_dict,
 )
-from kanbench.numcore import make_rng, silu
+from kanbench.numcore import make_rng, silu, silu_grad
 
 
 def small_net(dims=(4, 3, 1), seed=0, spec=SplineSpec(5, 3)):
@@ -149,6 +149,43 @@ class TestGradients:
         assert np.array_equal(net.predict_window_batch(windows), kan_forward_batch(net, x))
 
 
+def einsum_forward_backward(net, x, y):
+    """Predictions, loss and flat gradient with every (o, i, p) contraction
+    written as an explicit einsum. Oracle for the kernel's reshaped matmuls."""
+    acts, phis = [x], []
+    for l in net.layers:
+        a = acts[-1]
+        phi = basis_matrix(l.spec, a.reshape(-1)).reshape(a.shape[0], l.in_dim, l.spec.n_basis)
+        acts.append(silu(a) @ l.base.T + np.einsum("bip,oip->bo", phi, l.coef))
+        phis.append(phi)
+    resid = acts[-1][:, 0] - y
+    delta = (2.0 / x.shape[0]) * resid[:, None]
+    grads = []
+    for li in reversed(range(len(net.layers))):
+        l, a = net.layers[li], acts[li]
+        grads = [np.einsum("bo,bip->oip", delta, phis[li]), delta.T @ silu(a)] + grads
+        dphi = basis_grad_matrix(l.spec, a.reshape(-1)).reshape(phis[li].shape)
+        w = np.einsum("bo,oip->bip", delta, l.coef)
+        delta = (delta @ l.base) * silu_grad(a) + np.einsum("bip,bip->bi", w, dphi)
+    flat = np.concatenate([g.ravel() for g in grads])
+    return acts[-1][:, 0], float(np.mean(resid**2)), flat
+
+
+class TestContractions:
+    def test_forward_and_gradient_equal_einsum_oracle(self):
+        # unequal widths and a non-square grid pin the (o, i, p) reshape order
+        net = kan_init([6, 3, 1], SplineSpec(4, 3), make_rng(13))
+        rng = make_rng(14)
+        x = rng.uniform(-0.2, 1.2, size=(11, 6))
+        y = rng.normal(size=11)
+        preds, loss, flat = einsum_forward_backward(net, x, y)
+        np.testing.assert_allclose(kan_forward_batch(net, x), preds, rtol=0, atol=1e-12)
+        got_loss, got_flat = kan_backward(net, x, y)
+        assert got_loss == pytest.approx(loss, rel=0, abs=1e-12)
+        assert got_flat.shape == (net.n_params,)
+        np.testing.assert_allclose(got_flat, flat, rtol=0, atol=1e-12)
+
+
 class TestPackUnpack:
     def test_round_trip(self):
         net = small_net()
@@ -181,6 +218,13 @@ class TestSerialization:
         d = to_json_dict(small_net((4, 1), seed=5))
         d["dims"] = [4, 1, 1]  # one layer entry for two layers' worth of dims
         with pytest.raises(ValueError, match="layers"):
+            from_json_dict(d)
+
+    @pytest.mark.parametrize("field,value", [("grid_size", 3.0), ("degree", 2.5), ("grid_size", True)])
+    def test_non_integer_spline_size_rejected(self, field, value):
+        d = to_json_dict(small_net((2, 1), seed=4))
+        d["spec"][field] = value
+        with pytest.raises(ValueError, match=field):
             from_json_dict(d)
 
     def test_dict_round_trip(self):
