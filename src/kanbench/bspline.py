@@ -39,6 +39,10 @@ class SplineSpec:
             raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
+        for name in ("domain_lo", "domain_hi"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         ok = np.isfinite(self.domain_lo) and np.isfinite(self.domain_hi)
         if not ok or not self.domain_lo < self.domain_hi:
             raise ValueError(

@@ -27,6 +27,7 @@ from .bench import (
 )
 from .data import REGIME_PRESETS, MinMaxScaler, gen_synthetic, make_regime, write_csv
 from .forecast import iterative_forecast, write_trace_csv
+from .numcore import checkpoint_field
 
 REPORT_FORMATS = ("csv", "markdown-table", "gnuplot-data")
 
@@ -143,17 +144,20 @@ def _cmd_forecast(args) -> None:
         raise ValueError("--horizon must be >= 1")
     with open(args.checkpoint, encoding="utf-8") as fh:
         bundle = json.load(fh)
-    kind = bundle.get("kind")
-    if kind == "kan":
-        model = kan.from_json_dict(bundle["model"])
-    elif kind == "lstm":
-        model = lstm.from_json_dict(bundle["model"])
-    else:
+    loaders = {"kan": kan.from_json_dict, "lstm": lstm.from_json_dict}
+    kind = checkpoint_field(bundle, "kind", "checkpoint")
+    if kind not in loaders:
         raise ValueError(f"checkpoint has unknown model kind {kind!r}")
-    window = np.array(bundle["seed_window"], dtype=np.float64)
-    trace = iterative_forecast(model, window, args.horizon, close_col=bundle["target_col"])
-    scaler = MinMaxScaler(bundle["scaler"]["mins"], bundle["scaler"]["maxs"])
-    write_trace_csv(trace, args.out, scaler, price_feature=bundle["target_col"])
+    model_d, seed_window, target_col, scaler_d = (
+        checkpoint_field(bundle, key, "checkpoint")
+        for key in ("model", "seed_window", "target_col", "scaler")
+    )
+    model = loaders[kind](model_d)
+    window = np.array(seed_window, dtype=np.float64)
+    trace = iterative_forecast(model, window, args.horizon, close_col=target_col)
+    scaler = MinMaxScaler(*(checkpoint_field(scaler_d, key, "checkpoint scaler")
+                            for key in ("mins", "maxs")))
+    write_trace_csv(trace, args.out, scaler, price_feature=target_col)
     print(f"forecast {args.horizon} steps with {kind} -> {args.out}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bspline import SplineSpec, basis_grad_matrix, basis_matrix
-from .numcore import Rng, silu, silu_grad
+from .numcore import Rng, checkpoint_array, checkpoint_field, sigmoid, silu, silu_grad
 
 
 @dataclass
@@ -153,13 +153,14 @@ def kan_backward(net: KanNetwork, inputs, targets):
     for li in reversed(range(n)):
         layer = net.layers[li]
         xin = acts[li]
+        s = sigmoid(xin)  # serves both silu(x) = x·s and its derivative
         coef_grads[li] = (delta.T @ phis[li]).reshape(layer.coef.shape)
-        base_grads[li] = delta.T @ silu(xin)
+        base_grads[li] = delta.T @ (xin * s)
         if li > 0:
             shape = (xin.shape[0], layer.in_dim, layer.spec.n_basis)
             dphi = basis_grad_matrix(layer.spec, xin.reshape(-1)).reshape(shape)
             w = (delta @ layer.coef.reshape(layer.out_dim, -1)).reshape(shape)
-            delta = (delta @ layer.base) * silu_grad(xin) + np.sum(w * dphi, axis=2)
+            delta = (delta @ layer.base) * silu_grad(xin, s) + np.sum(w * dphi, axis=2)
     return loss, np.concatenate([a.ravel() for pair in zip(coef_grads, base_grads) for a in pair])
 
 
@@ -182,17 +183,26 @@ def to_json_dict(net: KanNetwork) -> dict:
 
 
 def from_json_dict(d: dict) -> KanNetwork:
-    if d.get("kind") != "kan":
+    """Rebuild a network; a malformed checkpoint raises ValueError naming the field."""
+    where = "kan checkpoint"
+    if checkpoint_field(d, "kind", where) != "kan":
         raise ValueError(f"not a spline-network checkpoint: kind={d.get('kind')!r}")
-    spec = SplineSpec(**d["spec"])
-    dims = d["dims"]
-    if len(d["layers"]) != len(dims) - 1:
-        raise ValueError(
-            f"checkpoint has {len(d['layers'])} layers but dims {dims} need {len(dims) - 1}"
-        )
+    spec_d = checkpoint_field(d, "spec", where)
+    spec = SplineSpec(*(checkpoint_field(spec_d, key, f"{where} spec")
+                        for key in ("grid_size", "degree", "domain_lo", "domain_hi")))
+    dims = checkpoint_field(d, "dims", where)
+    if not isinstance(dims, list) or len(dims) < 2 or any(
+        isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in dims
+    ):
+        raise ValueError(f"{where} field 'dims' must list >= 2 positive ints, got {dims!r}")
+    entries = checkpoint_field(d, "layers", where)
+    if not isinstance(entries, list) or len(entries) != len(dims) - 1:
+        raise ValueError(f"{where} field 'layers' must list {len(dims) - 1} layers for dims {dims}")
     layers = []
-    for (n_in, n_out), ld in zip(zip(dims[:-1], dims[1:]), d["layers"]):
-        coef = np.array(ld["coef"], dtype=np.float64).reshape(n_out, n_in, spec.n_basis)
-        base = np.array(ld["base"], dtype=np.float64).reshape(n_out, n_in)
-        layers.append(KanLayer(n_in, n_out, spec, coef, base))
+    for li, ((n_in, n_out), ld) in enumerate(zip(zip(dims[:-1], dims[1:]), entries)):
+        at = f"{where} layers[{li}]"
+        coef = checkpoint_array(ld, "coef", n_out * n_in * spec.n_basis, at)
+        base = checkpoint_array(ld, "base", n_out * n_in, at)
+        layers.append(KanLayer(n_in, n_out, spec, coef.reshape(n_out, n_in, -1),
+                               base.reshape(n_out, n_in)))
     return KanNetwork(layers)

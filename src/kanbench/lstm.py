@@ -1,20 +1,30 @@
 """Stacked LSTM sequence regressor with exact backpropagation through time.
 
-Each layer keeps four gate matrices of shape (hidden, hidden + input) applied
-to the concatenation [h, x], with sigmoid input/forget/output gates and a tanh
-candidate: ``c' = f*c + i*g`` and ``h' = o*tanh(c')``. Layers are stacked by
+Each layer keeps one fused gate matrix ``w`` of shape (4·hidden, hidden +
+input) and one bias ``b`` of shape (4·hidden,), in i, f, o, g row blocks,
+applied to the concatenation [h, x]. One step is one matmul, a sigmoid over
+the i, f, o block and a tanh over the candidate g: ``c' = f*c + i*g`` and
+``h' = o*tanh(c')``. The row-major ravel of ``w`` is the four gate matrices
+one after another, so the flat parameter order is w_i, w_f, w_o, w_g then
+b_i..b_g, as in checkpoints of the per-gate layout. Layers are stacked by
 feeding the full hidden-state stream upward; a bias-free linear or tanh head
-reads the top layer's final hidden state. Gradients come from full BPTT, not
-truncation.
+reads the top layer's final hidden state.
+
+Inside, streams are time-major with the batch last, (steps, features,
+batch), so every gate block is a contiguous run of rows. Gradients come
+from full BPTT, not truncation: the training pass stacks [h; x], c_prev,
+the gate activations and tanh(c) over all steps; the backward loop fills one
+(steps, 4·hidden, batch) array of gate deltas, and each layer's weight, bias
+and input gradients are then one array op each. The forward-only pass keeps
+no cache and reuses one (hidden + input, batch) column buffer.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import Rng, sigmoid
+from .numcore import Rng, checkpoint_array, checkpoint_field, checkpoint_int, sigmoid
 
-GATES = ("i", "f", "o", "g")
 HEAD_ACTIVATIONS = ("linear", "tanh")
 
 
@@ -22,32 +32,21 @@ HEAD_ACTIVATIONS = ("linear", "tanh")
 class LstmLayer:
     in_dim: int
     hidden: int
-    w_i: np.ndarray  # (hidden, hidden + in_dim), applied to [h, x]
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    b_i: np.ndarray  # (hidden,)
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    w: np.ndarray  # (4·hidden, hidden + in_dim): i, f, o, g rows applied to [h, x]
+    b: np.ndarray  # (4·hidden,)
 
     def __post_init__(self):
-        wshape = (self.hidden, self.hidden + self.in_dim)
-        for name in GATES:
-            w = np.asarray(getattr(self, f"w_{name}"), dtype=np.float64)
-            b = np.asarray(getattr(self, f"b_{name}"), dtype=np.float64)
-            if w.shape != wshape:
-                raise ValueError(f"w_{name} shape {w.shape} != {wshape}")
-            if b.shape != (self.hidden,):
-                raise ValueError(f"b_{name} shape {b.shape} != {(self.hidden,)}")
-            setattr(self, f"w_{name}", w)
-            setattr(self, f"b_{name}", b)
+        self.w = np.asarray(self.w, dtype=np.float64)
+        self.b = np.asarray(self.b, dtype=np.float64)
+        wshape = (4 * self.hidden, self.hidden + self.in_dim)
+        if self.w.shape != wshape:
+            raise ValueError(f"w shape {self.w.shape} != {wshape}")
+        if self.b.shape != (4 * self.hidden,):
+            raise ValueError(f"b shape {self.b.shape} != {(4 * self.hidden,)}")
 
     def arrays(self):
-        for name in GATES:
-            yield getattr(self, f"w_{name}")
-        for name in GATES:
-            yield getattr(self, f"b_{name}")
+        yield self.w
+        yield self.b
 
 
 @dataclass
@@ -68,7 +67,7 @@ class LstmNetwork:
                 f"head shape {self.head.shape} != {(self.layers[-1].hidden,)}"
             )
         if self.head_activation not in HEAD_ACTIVATIONS:
-            raise ValueError(f"unknown head activation {self.head_activation!r}")
+            raise ValueError(f"unknown head_activation {self.head_activation!r}")
 
     @property
     def input_dim(self) -> int:
@@ -115,44 +114,59 @@ def lstm_init(
     for li in range(n_layers):
         in_dim = input_dim if li == 0 else hidden
         limit = np.sqrt(6.0 / (hidden + in_dim + hidden))
-        ws = {
-            f"w_{g}": rng.uniform(-limit, limit, size=(hidden, hidden + in_dim))
-            for g in GATES
-        }
-        bs = {f"b_{g}": np.zeros(hidden) for g in GATES}
-        bs["b_f"] = np.ones(hidden)
-        layers.append(LstmLayer(in_dim, hidden, **ws, **bs))
+        w = rng.uniform(-limit, limit, size=(4 * hidden, hidden + in_dim))
+        b = np.zeros(4 * hidden)
+        b[hidden : 2 * hidden] = 1.0
+        layers.append(LstmLayer(in_dim, hidden, w, b))
     head_limit = np.sqrt(6.0 / (hidden + 1))
     head = rng.uniform(-head_limit, head_limit, size=hidden)
     return LstmNetwork(layers, head, head_activation)
 
 
+def _run_layer(layer: LstmLayer, seq: np.ndarray, keep_cache: bool):
+    """Run a (steps, in_dim, batch) stream through one layer.
+
+    Returns the (steps, hidden, batch) hidden stream and, with keep_cache, the
+    stacked BPTT cache (hx, c_prev, gates, tanh_c); without it every step
+    reuses slot 0 of one-step buffers.
+    """
+    steps, _, batch = seq.shape
+    hid = layer.hidden
+    slots = steps if keep_cache else 1
+    hx = np.empty((slots, hid + layer.in_dim, batch))
+    c_prev = np.empty((slots, hid, batch))
+    gates = np.empty((slots, 4 * hid, batch))
+    tanh_c = np.empty((slots, hid, batch))
+    hs = np.empty((steps, hid, batch))
+    bias = layer.b[:, None]
+    h = np.zeros((hid, batch))
+    c = np.zeros((hid, batch))
+    for t in range(steps):
+        k = t if keep_cache else 0
+        col, z = hx[k], gates[k]
+        col[:hid] = h
+        col[hid:] = seq[t]
+        c_prev[k] = c
+        np.matmul(layer.w, col, out=z)
+        z += bias
+        z[: 3 * hid] = sigmoid(z[: 3 * hid])
+        np.tanh(z[3 * hid :], out=z[3 * hid :])
+        i, f, o, g = z[:hid], z[hid : 2 * hid], z[2 * hid : 3 * hid], z[3 * hid :]
+        c *= f  # c_prev[k] holds the old value
+        c += i * g
+        np.tanh(c, out=tanh_c[k])
+        h = np.multiply(o, tanh_c[k], out=hs[t])
+    return hs, ((hx, c_prev, gates, tanh_c) if keep_cache else None)
+
+
 def _run_layers(net: LstmNetwork, x: np.ndarray, keep_cache: bool):
-    """Push a (B, L, in_dim) batch through the stack; return h-stream + caches."""
-    batch, steps, _ = x.shape
+    """Push a (B, L, in_dim) batch through the stack; return the top stream
+    (L, hidden, B) and the per-layer caches."""
+    seq = x.transpose(1, 2, 0)
     caches = []
-    seq = x
     for layer in net.layers:
-        h = np.zeros((batch, layer.hidden))
-        c = np.zeros((batch, layer.hidden))
-        hs = np.empty((batch, steps, layer.hidden))
-        cache = []
-        for t in range(steps):
-            hx = np.concatenate([h, seq[:, t, :]], axis=1)
-            i = sigmoid(hx @ layer.w_i.T + layer.b_i)
-            f = sigmoid(hx @ layer.w_f.T + layer.b_f)
-            o = sigmoid(hx @ layer.w_o.T + layer.b_o)
-            g = np.tanh(hx @ layer.w_g.T + layer.b_g)
-            c_new = f * c + i * g
-            tc = np.tanh(c_new)
-            h = o * tc
-            hs[:, t, :] = h
-            if keep_cache:
-                cache.append({"hx": hx, "i": i, "f": f, "o": o, "g": g,
-                              "c_prev": c, "tc": tc})
-            c = c_new
+        seq, cache = _run_layer(layer, seq, keep_cache)
         caches.append(cache)
-        seq = hs
     return seq, caches
 
 
@@ -173,8 +187,34 @@ def lstm_forward_batch(net: LstmNetwork, inputs) -> np.ndarray:
     """Scalar prediction per sequence in a (B, L, F) batch."""
     x = _check_batch(net, np.asarray(inputs, dtype=np.float64))
     top, _ = _run_layers(net, x, keep_cache=False)
-    pre = top[:, -1, :] @ net.head
+    pre = net.head @ top[-1]
     return np.tanh(pre) if net.head_activation == "tanh" else pre
+
+
+def _layer_backward(layer: LstmLayer, cache, dh_seq: np.ndarray):
+    """BPTT through one layer given the gradient of its (L, hidden, B) output
+    stream; returns (dW, db, gradient of its (L, in_dim, B) input stream)."""
+    hx, c_prev, gates, tanh_c = cache
+    steps, _, batch = hx.shape
+    hid = layer.hidden
+    w_h = np.ascontiguousarray(layer.w[:, :hid].T)
+    dz = np.empty_like(gates)
+    dh = np.zeros((hid, batch))
+    dc = np.zeros((hid, batch))
+    for t in reversed(range(steps)):
+        z, tc, d = gates[t], tanh_c[t], dz[t]
+        i, f, o, g = z[:hid], z[hid : 2 * hid], z[2 * hid : 3 * hid], z[3 * hid :]
+        dh += dh_seq[t]
+        dc += dh * o * (1.0 - tc**2)
+        d[:hid] = dc * g * i * (1.0 - i)
+        d[hid : 2 * hid] = dc * c_prev[t] * f * (1.0 - f)
+        d[2 * hid : 3 * hid] = dh * tc * o * (1.0 - o)
+        d[3 * hid :] = dc * i * (1.0 - g**2)
+        dh = w_h @ d
+        dc *= f
+    d_w = np.tensordot(dz, hx, axes=([0, 2], [0, 2]))
+    d_b = dz.sum(axis=(0, 2))
+    return d_w, d_b, np.matmul(layer.w[:, hid:].T, dz)
 
 
 def lstm_loss_and_grad(net: LstmNetwork, inputs, targets):
@@ -183,57 +223,26 @@ def lstm_loss_and_grad(net: LstmNetwork, inputs, targets):
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != (x.shape[0],):
         raise ValueError(f"targets must have shape ({x.shape[0]},), got {y.shape}")
-    batch, steps, _ = x.shape
 
     top, caches = _run_layers(net, x, keep_cache=True)
-    h_last = top[:, -1, :]
-    pre = h_last @ net.head
+    h_last = top[-1]
+    pre = net.head @ h_last
     pred = np.tanh(pre) if net.head_activation == "tanh" else pre
 
     resid = pred - y
     loss = float(np.mean(resid**2))
-    dpre = (2.0 / batch) * resid
+    dpre = (2.0 / x.shape[0]) * resid
     if net.head_activation == "tanh":
         dpre = dpre * (1.0 - pred**2)
-
-    d_head = h_last.T @ dpre
-    grads = {id(l): [np.zeros_like(a) for a in l.arrays()] for l in net.layers}
 
     # Gradient w.r.t. the current layer's hidden-state stream; for the top
     # layer only the final step is read (by the head).
     dh_seq = np.zeros_like(top)
-    dh_seq[:, -1, :] = dpre[:, None] * net.head[None, :]
-
+    dh_seq[-1] = net.head[:, None] * dpre[None, :]
+    flat = [h_last @ dpre]
     for layer, cache in zip(reversed(net.layers), reversed(caches)):
-        g_wi, g_wf, g_wo, g_wg, g_bi, g_bf, g_bo, g_bg = grads[id(layer)]
-        dx_seq = np.zeros((batch, steps, layer.in_dim))
-        dh = np.zeros((batch, layer.hidden))
-        dc = np.zeros((batch, layer.hidden))
-        for t in reversed(range(steps)):
-            st = cache[t]
-            dh = dh + dh_seq[:, t, :]
-            dc = dc + dh * st["o"] * (1.0 - st["tc"] ** 2)
-            dzo = dh * st["tc"] * st["o"] * (1.0 - st["o"])
-            dzi = dc * st["g"] * st["i"] * (1.0 - st["i"])
-            dzf = dc * st["c_prev"] * st["f"] * (1.0 - st["f"])
-            dzg = dc * st["i"] * (1.0 - st["g"] ** 2)
-            hx = st["hx"]
-            g_wi += dzi.T @ hx
-            g_wf += dzf.T @ hx
-            g_wo += dzo.T @ hx
-            g_wg += dzg.T @ hx
-            g_bi += dzi.sum(axis=0)
-            g_bf += dzf.sum(axis=0)
-            g_bo += dzo.sum(axis=0)
-            g_bg += dzg.sum(axis=0)
-            dhx = dzi @ layer.w_i + dzf @ layer.w_f + dzo @ layer.w_o + dzg @ layer.w_g
-            dh = dhx[:, : layer.hidden]
-            dx_seq[:, t, :] = dhx[:, layer.hidden :]
-            dc = dc * st["f"]
-        dh_seq = dx_seq  # becomes the h-stream gradient for the layer below
-
-    flat = [a.ravel() for l in net.layers for a in grads[id(l)]]
-    flat.append(d_head.ravel())
+        d_w, d_b, dh_seq = _layer_backward(layer, cache, dh_seq)
+        flat[:0] = [d_w.ravel(), d_b]
     return loss, np.concatenate(flat)
 
 
@@ -249,14 +258,16 @@ def to_json_dict(net: LstmNetwork) -> dict:
 
 
 def from_json_dict(d: dict) -> LstmNetwork:
-    if d.get("kind") != "lstm":
+    """Rebuild a network; a malformed checkpoint raises ValueError naming the field."""
+    where = "lstm checkpoint"
+    if checkpoint_field(d, "kind", where) != "lstm":
         raise ValueError(f"not an lstm checkpoint: kind={d.get('kind')!r}")
     net = lstm_init(
-        d["input_dim"],
-        d["hidden"],
-        d["n_layers"],
+        checkpoint_int(d, "input_dim", where),
+        checkpoint_int(d, "hidden", where),
+        checkpoint_int(d, "n_layers", where),
         np.random.default_rng(0),
-        d["head_activation"],
+        checkpoint_field(d, "head_activation", where),
     )
-    net.unpack(np.array(d["params"], dtype=np.float64))
+    net.unpack(checkpoint_array(d, "params", net.n_params, where))
     return net

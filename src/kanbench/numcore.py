@@ -1,4 +1,5 @@
-"""Seeded randomness and the float64 activations shared by every module.
+"""Seeded randomness, the float64 activations shared by every module, and
+the field checks both model checkpoints load through.
 
 All randomness flows through PCG64 generators built by :func:`make_rng`, so a
 seed fully determines every stream on every platform numpy supports.
@@ -15,14 +16,15 @@ def make_rng(seed: int) -> Rng:
 
 
 def sigmoid(x):
-    """Numerically stable logistic; finite input never produces NaN."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic 1 / (1 + exp(-x)), computed as 0.5 * (1 + tanh(x / 2)).
+
+    tanh cannot overflow, so finite input never produces NaN, and the result
+    saturates to exactly 0 and 1 for large |x|.
+    """
+    s = np.tanh(0.5 * np.asarray(x, dtype=np.float64))
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def silu(x):
@@ -30,7 +32,37 @@ def silu(x):
     return x * sigmoid(x)
 
 
-def silu_grad(x):
-    x = np.asarray(x, dtype=np.float64)
-    s = sigmoid(x)
+def silu_grad(x, s):
+    """d/dx silu(x), given ``s = sigmoid(x)`` already computed for the same x."""
     return s * (1.0 + x * (1.0 - s))
+
+
+def checkpoint_field(d, key: str, where: str):
+    """``d[key]``, or a ValueError naming the field when ``d`` lacks it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object, got {type(d).__name__}")
+    if key not in d:
+        raise ValueError(f"{where} is missing field {key!r}")
+    return d[key]
+
+
+def checkpoint_int(d, key: str, where: str) -> int:
+    """A positive int field (bools rejected)."""
+    value = checkpoint_field(d, key, where)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{where} field {key!r} must be a positive int, got {value!r}")
+    return value
+
+
+def checkpoint_array(d, key: str, size: int, where: str) -> np.ndarray:
+    """A flat list of ``size`` finite numbers, as float64."""
+    value = checkpoint_field(d, key, where)
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} field {key!r} must be a list of numbers") from None
+    if arr.shape != (size,):
+        raise ValueError(f"{where} field {key!r} has shape {arr.shape}, expected ({size},)")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{where} field {key!r} must be finite")
+    return arr

@@ -97,6 +97,9 @@ class TestSplineSpec:
             {"grid_size": 3, "degree": 2.0},
             {"grid_size": 3, "degree": True},
             {"grid_size": "3", "degree": 2},
+            # a domain end must be a number, not a string or a bool
+            {"grid_size": 3, "degree": 2, "domain_hi": "1"},
+            {"grid_size": 3, "degree": 2, "domain_lo": False},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

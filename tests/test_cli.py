@@ -165,6 +165,19 @@ class TestTrainForecastChain:
                          "--horizon", "3", "--out", str(tmp_path / "t.csv")]) == 2
         assert "unknown model kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model,field", [("kan", "spec"), ("lstm", "hidden"),
+                                             ("lstm", "seed_window")])
+    def test_malformed_checkpoint_names_field(self, tmp_path, capsys, model, field):
+        code, ckpt, _ = self.run_train(tmp_path, model)
+        assert code == 0
+        bundle = json.loads(ckpt.read_text())
+        (bundle["model"] if field in bundle["model"] else bundle).pop(field)
+        ckpt.write_text(json.dumps(bundle))
+        assert dispatch(["forecast", "--checkpoint", str(ckpt),
+                         "--horizon", "3", "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"missing field '{field}'" in err
+
 
 class TestBenchmarkAndReport:
     def matrix_path(self, tmp_path, experiments=None):

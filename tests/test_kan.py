@@ -15,7 +15,7 @@ from kanbench.kan import (
     kan_init,
     to_json_dict,
 )
-from kanbench.numcore import make_rng, silu, silu_grad
+from kanbench.numcore import make_rng, sigmoid, silu, silu_grad
 
 
 def small_net(dims=(4, 3, 1), seed=0, spec=SplineSpec(5, 3)):
@@ -166,7 +166,7 @@ def einsum_forward_backward(net, x, y):
         grads = [np.einsum("bo,bip->oip", delta, phis[li]), delta.T @ silu(a)] + grads
         dphi = basis_grad_matrix(l.spec, a.reshape(-1)).reshape(phis[li].shape)
         w = np.einsum("bo,oip->bip", delta, l.coef)
-        delta = (delta @ l.base) * silu_grad(a) + np.einsum("bip,bip->bi", w, dphi)
+        delta = (delta @ l.base) * silu_grad(a, sigmoid(a)) + np.einsum("bip,bip->bi", w, dphi)
     flat = np.concatenate([g.ravel() for g in grads])
     return acts[-1][:, 0], float(np.mean(resid**2)), flat
 
@@ -224,6 +224,29 @@ class TestSerialization:
     def test_non_integer_spline_size_rejected(self, field, value):
         d = to_json_dict(small_net((2, 1), seed=4))
         d["spec"][field] = value
+        with pytest.raises(ValueError, match=field):
+            from_json_dict(d)
+
+    @pytest.mark.parametrize("field,change", [
+        ("kind", lambda d: d.pop("kind")),
+        ("spec", lambda d: d.pop("spec")),
+        ("degree", lambda d: d["spec"].pop("degree")),
+        ("grid_size", lambda d: d["spec"].pop("grid_size")),
+        ("domain_hi", lambda d: d["spec"].update(domain_hi="1")),
+        ("dims", lambda d: d.pop("dims")),
+        ("dims", lambda d: d.update(dims=[3, 0, 1])),
+        ("layers", lambda d: d.pop("layers")),
+        ("coef", lambda d: d["layers"][0]["coef"].pop()),
+        ("coef", lambda d: d["layers"][1].pop("coef")),
+        ("base", lambda d: d["layers"][0].update(base=[1.0, "x", 2.0])),
+        ("base", lambda d: d["layers"][1]["base"].append(0.5)),
+    ], ids=[
+        "no-kind", "no-spec", "no-degree", "no-grid_size", "text-domain_hi", "no-dims",
+        "zero-dim", "no-layers", "short-coef", "no-coef", "text-base", "long-base",
+    ])
+    def test_malformed_checkpoint_names_field(self, field, change):
+        d = to_json_dict(small_net((3, 2, 1), seed=6))
+        change(d)
         with pytest.raises(ValueError, match=field):
             from_json_dict(d)
 

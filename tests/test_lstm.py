@@ -1,4 +1,10 @@
-"""LSTM: gate-equation oracle, BPTT gradient checks, serialization."""
+"""LSTM: gate-equation oracles, BPTT gradient checks, serialization.
+
+The per-gate reference below is the LSTM as first written: four separate
+(hidden, hidden + in) gate matrices, a list of per-step caches and BPTT that
+accumulates each gate's gradient step by step. The fused kernel in
+kanbench.lstm must agree with it.
+"""
 
 import json
 import math
@@ -26,22 +32,158 @@ def scalar_sigmoid(z):
     return 1.0 / (1.0 + math.exp(-z))
 
 
+GATES = ("i", "f", "o", "g")
+
+
+def ref_sigmoid(x):
+    """Exp-based logistic, stable on both sides."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def per_gate(net):
+    """Each layer's fused w/b split into the per-gate dict the reference reads."""
+    layers = []
+    for layer in net.layers:
+        ws = np.split(layer.w, 4)
+        bs = np.split(layer.b, 4)
+        layers.append({**{f"w_{g}": w for g, w in zip(GATES, ws)},
+                       **{f"b_{g}": b for g, b in zip(GATES, bs)}})
+    return layers
+
+
+def ref_run_layers(layers, x):
+    """Per-gate forward over a (B, L, in) batch: the top h-stream and caches."""
+    batch, steps, _ = x.shape
+    caches = []
+    seq = x
+    for p in layers:
+        hidden = p["b_i"].size
+        h = np.zeros((batch, hidden))
+        c = np.zeros((batch, hidden))
+        hs = np.empty((batch, steps, hidden))
+        cache = []
+        for t in range(steps):
+            hx = np.concatenate([h, seq[:, t, :]], axis=1)
+            i = ref_sigmoid(hx @ p["w_i"].T + p["b_i"])
+            f = ref_sigmoid(hx @ p["w_f"].T + p["b_f"])
+            o = ref_sigmoid(hx @ p["w_o"].T + p["b_o"])
+            g = np.tanh(hx @ p["w_g"].T + p["b_g"])
+            c_new = f * c + i * g
+            tc = np.tanh(c_new)
+            h = o * tc
+            hs[:, t, :] = h
+            cache.append({"hx": hx, "i": i, "f": f, "o": o, "g": g, "c_prev": c, "tc": tc})
+            c = c_new
+        caches.append(cache)
+        seq = hs
+    return seq, caches
+
+
+def ref_forward(layers, head, head_activation, x):
+    top, _ = ref_run_layers(layers, x)
+    pre = top[:, -1, :] @ head
+    return np.tanh(pre) if head_activation == "tanh" else pre
+
+
+def ref_loss_and_grad(layers, head, head_activation, x, y):
+    """Per-gate BPTT; the gradient is packed w_i..w_g, b_i..b_g per layer, then head."""
+    batch, steps, _ = x.shape
+    top, caches = ref_run_layers(layers, x)
+    h_last = top[:, -1, :]
+    pre = h_last @ head
+    pred = np.tanh(pre) if head_activation == "tanh" else pre
+    resid = pred - y
+    loss = float(np.mean(resid**2))
+    dpre = (2.0 / batch) * resid
+    if head_activation == "tanh":
+        dpre = dpre * (1.0 - pred**2)
+    d_head = h_last.T @ dpre
+    grads = [{k: np.zeros_like(v) for k, v in p.items()} for p in layers]
+    dh_seq = np.zeros_like(top)
+    dh_seq[:, -1, :] = dpre[:, None] * head[None, :]
+    for p, gr, cache in zip(reversed(layers), reversed(grads), reversed(caches)):
+        hidden = p["b_i"].size
+        dx_seq = np.zeros((batch, steps, p["w_i"].shape[1] - hidden))
+        dh = np.zeros((batch, hidden))
+        dc = np.zeros((batch, hidden))
+        for t in reversed(range(steps)):
+            st = cache[t]
+            dh = dh + dh_seq[:, t, :]
+            dc = dc + dh * st["o"] * (1.0 - st["tc"] ** 2)
+            dz = {
+                "i": dc * st["g"] * st["i"] * (1.0 - st["i"]),
+                "f": dc * st["c_prev"] * st["f"] * (1.0 - st["f"]),
+                "o": dh * st["tc"] * st["o"] * (1.0 - st["o"]),
+                "g": dc * st["i"] * (1.0 - st["g"] ** 2),
+            }
+            dhx = np.zeros_like(st["hx"])
+            for name in GATES:
+                gr[f"w_{name}"] += dz[name].T @ st["hx"]
+                gr[f"b_{name}"] += dz[name].sum(axis=0)
+                dhx += dz[name] @ p[f"w_{name}"]
+            dh = dhx[:, :hidden]
+            dx_seq[:, t, :] = dhx[:, hidden:]
+            dc = dc * st["f"]
+        dh_seq = dx_seq
+    flat = [gr[f"{kind}_{name}"].ravel() for gr in grads for kind in "wb" for name in GATES]
+    flat.append(d_head.ravel())
+    return loss, np.concatenate(flat)
+
+
+def old_order_params(layers, head):
+    """The flat params vector as per-gate checkpoints store it."""
+    parts = [p[f"{kind}_{name}"].ravel() for p in layers for kind in "wb" for name in GATES]
+    return np.concatenate(parts + [head.ravel()])
+
+
+def assert_close(got, want, tol=1e-12):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert float(np.max(np.abs(np.asarray(got) - want))) <= tol * scale
+
+
 class TestInit:
     def test_shapes_and_biases(self):
+        # w holds the i, f, o, g gate rows; b the matching bias blocks
         net = small_net(input_dim=4, hidden=6, layers=2)
         l0, l1 = net.layers
-        assert l0.w_i.shape == (6, 6 + 4)
-        assert l1.w_i.shape == (6, 6 + 6)
-        assert np.all(l0.b_f == 1.0) and np.all(l1.b_f == 1.0)
-        assert np.all(l0.b_i == 0.0) and np.all(l0.b_o == 0.0) and np.all(l0.b_g == 0.0)
+        assert l0.w[:6].shape == (6, 6 + 4) and l0.w.shape == (24, 10)
+        assert l1.w[:6].shape == (6, 6 + 6) and l1.w.shape == (24, 12)
+        assert np.all(l0.b[6:12] == 1.0) and np.all(l1.b[6:12] == 1.0)
+        assert np.all(l0.b[:6] == 0.0) and np.all(l0.b[12:18] == 0.0) and np.all(l0.b[18:] == 0.0)
         assert net.head.shape == (6,)
 
     def test_glorot_bounds(self):
         net = small_net(input_dim=4, hidden=6, layers=1, seed=3)
         limit = np.sqrt(6.0 / (6 + 10))
-        for name in ("w_i", "w_f", "w_o", "w_g"):
-            w = getattr(net.layers[0], name)
+        for w in np.split(net.layers[0].w, 4):
             assert np.all(np.abs(w) <= limit)
+
+    @pytest.mark.parametrize("input_dim,hidden,layers", [(3, 5, 2), (6, 10, 2), (1, 1, 3)])
+    def test_init_equals_per_gate_draws(self, input_dim, hidden, layers):
+        # the fused init draws the same stream as four per-gate draws per layer
+        rng = make_rng(17)
+        want = []
+        for li in range(layers):
+            in_dim = input_dim if li == 0 else hidden
+            limit = np.sqrt(6.0 / (hidden + in_dim + hidden))
+            want += [rng.uniform(-limit, limit, size=(hidden, hidden + in_dim)).ravel()
+                     for _ in GATES]
+            want += [np.zeros(hidden), np.ones(hidden), np.zeros(hidden), np.zeros(hidden)]
+        want.append(rng.uniform(-np.sqrt(6.0 / (hidden + 1)), np.sqrt(6.0 / (hidden + 1)),
+                                size=hidden))
+        net = lstm_init(input_dim, hidden, layers, make_rng(17))
+        assert np.array_equal(net.pack(), np.concatenate(want))
+
+    def test_layer_shapes_validated(self):
+        with pytest.raises(ValueError, match="w shape"):
+            LstmLayer(2, 3, np.zeros((3, 5)), np.zeros(12))
+        with pytest.raises(ValueError, match="b shape"):
+            LstmLayer(2, 3, np.zeros((12, 5)), np.zeros(3))
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -57,19 +199,14 @@ class TestInit:
 class TestForwardOracle:
     def test_two_step_hand_computation(self):
         """Single unit, hand-set weights: trace the gate equations by hand."""
-        w = {
-            "w_i": np.array([[0.5, 1.0]]),
-            "w_f": np.array([[-0.3, 0.4]]),
-            "w_o": np.array([[0.2, -0.6]]),
-            "w_g": np.array([[0.8, 0.1]]),
-        }
-        b = {
-            "b_i": np.array([0.1]),
-            "b_f": np.array([1.0]),
-            "b_o": np.array([-0.2]),
-            "b_g": np.array([0.05]),
-        }
-        layer = LstmLayer(1, 1, **w, **b)
+        w = np.array([
+            [0.5, 1.0],  # i
+            [-0.3, 0.4],  # f
+            [0.2, -0.6],  # o
+            [0.8, 0.1],  # g
+        ])
+        b = np.array([0.1, 1.0, -0.2, 0.05])
+        layer = LstmLayer(1, 1, w, b)
         net = LstmNetwork([layer], head=np.array([1.3]), head_activation="linear")
 
         h = c = 0.0
@@ -117,6 +254,22 @@ class TestForwardOracle:
             lstm_forward_batch(net, np.zeros((2, 4, 99)))
         with pytest.raises(ValueError):
             lstm_forward_batch(net, np.zeros((4, 3)))  # a window without its batch axis
+
+
+class TestPerGateOracle:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("head", ["linear", "tanh"])
+    def test_forward_and_gradient_match(self, layers, head):
+        net = small_net(input_dim=3, hidden=6, layers=layers, seed=20 + layers, head=head)
+        rng = make_rng(40 + layers)
+        x = rng.normal(size=(7, 9, 3))
+        y = rng.normal(size=7)
+        ref = per_gate(net)
+        assert_close(lstm_forward_batch(net, x), ref_forward(ref, net.head, head, x))
+        loss, grad = lstm_loss_and_grad(net, x, y)
+        ref_loss, ref_grad = ref_loss_and_grad(ref, net.head, head, x, y)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert_close(grad, ref_grad)
 
 
 class TestGradients:
@@ -183,6 +336,56 @@ class TestSerialization:
     def test_kind_checked(self):
         with pytest.raises(ValueError, match="kind"):
             from_json_dict({"kind": "kan"})
+
+    def test_per_gate_params_load_into_fused_blocks(self):
+        # a checkpoint's params list is w_i, w_f, w_o, w_g, b_i..b_g per layer
+        rng = make_rng(71)
+        hidden, input_dim = 3, 2
+        ref = []
+        for in_dim in (input_dim, hidden):
+            p = {f"w_{g}": rng.normal(size=(hidden, hidden + in_dim)) for g in GATES}
+            p.update({f"b_{g}": rng.normal(size=hidden) for g in GATES})
+            ref.append(p)
+        head = rng.normal(size=hidden)
+        d = {"kind": "lstm", "input_dim": input_dim, "hidden": hidden, "n_layers": 2,
+             "head_activation": "tanh", "params": old_order_params(ref, head).tolist()}
+        net = from_json_dict(json.loads(json.dumps(d)))
+        for layer, p in zip(net.layers, ref):
+            for k, name in enumerate(GATES):
+                rows = slice(k * hidden, (k + 1) * hidden)
+                assert np.array_equal(layer.w[rows], p[f"w_{name}"])
+                assert np.array_equal(layer.b[rows], p[f"b_{name}"])
+        assert np.array_equal(net.head, head)
+        x = rng.normal(size=(4, 6, input_dim))
+        assert_close(lstm_forward_batch(net, x), ref_forward(ref, head, "tanh", x))
+
+    def test_init_forget_bias_lands_in_second_block(self):
+        net = from_json_dict(to_json_dict(small_net(input_dim=2, hidden=4, layers=1)))
+        b = net.layers[0].b
+        assert np.all(b[4:8] == 1.0) and np.all(np.delete(b, range(4, 8)) == 0.0)
+
+    @pytest.mark.parametrize("field,change", [
+        ("kind", lambda d: d.pop("kind")),
+        ("input_dim", lambda d: d.pop("input_dim")),
+        ("hidden", lambda d: d.pop("hidden")),
+        ("n_layers", lambda d: d.pop("n_layers")),
+        ("head_activation", lambda d: d.pop("head_activation")),
+        ("params", lambda d: d.pop("params")),
+        ("params", lambda d: d["params"].pop()),
+        ("params", lambda d: d.update(params=["x"] * len(d["params"]))),
+        ("hidden", lambda d: d.update(hidden=2.5)),
+        ("n_layers", lambda d: d.update(n_layers=0)),
+        ("head_activation", lambda d: d.update(head_activation="relu")),
+    ], ids=[
+        "no-kind", "no-input_dim", "no-hidden", "no-n_layers", "no-head_activation",
+        "no-params", "short-params", "text-params", "float-hidden", "zero-n_layers",
+        "relu-head",
+    ])
+    def test_malformed_checkpoint_names_field(self, field, change):
+        d = to_json_dict(small_net(seed=3))
+        change(d)
+        with pytest.raises(ValueError, match=field):
+            from_json_dict(d)
 
     def test_dict_round_trip_predicts_identically(self):
         net = small_net(seed=61)

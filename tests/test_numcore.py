@@ -36,6 +36,22 @@ class TestSigmoid:
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0 and out[-1] == 1.0
 
+    def test_matches_exp_reference(self):
+        x = np.linspace(-800.0, 800.0, 1_600_001)
+        ex = np.exp(-np.abs(x))
+        ref = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+        assert np.max(np.abs(sigmoid(x) - ref)) <= 3e-16
+
+    def test_monotone(self):
+        # non-decreasing on a 0.001 grid; between float neighbours, numpy's
+        # tanh can step back by one ulp (tanh(-8) > tanh(next float above -8))
+        assert np.all(np.diff(sigmoid(np.linspace(-800.0, 800.0, 1_600_001))) >= 0.0)
+        x = np.nextafter(-16.0, 0.0)
+        assert sigmoid(np.array([x]))[0] >= sigmoid(np.array([-16.0]))[0] - np.spacing(0.5)
+
+    def test_saturates_exactly(self):
+        assert np.array_equal(sigmoid(np.array([-1000.0, 1000.0])), [0.0, 1.0])
+
     @given(st.lists(finite_floats, min_size=1, max_size=20))
     def test_symmetry(self, xs):
         x = np.array(xs)
@@ -52,5 +68,5 @@ class TestSilu:
         x = np.array(xs)
         h = 1e-6
         num = (silu(x + h) - silu(x - h)) / (2 * h)
-        assert np.allclose(silu_grad(x), num, atol=1e-7)
+        assert np.allclose(silu_grad(x, sigmoid(x)), num, atol=1e-7)
 
