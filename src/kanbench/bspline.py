@@ -64,7 +64,7 @@ class SplineSpec:
 
 
 def _check_finite(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("spline input must be finite")
 
 

@@ -2,10 +2,18 @@
 
 One-step models are rolled forward: each predicted scaled close is written
 into a pseudo-row (a copy of the window's last row with close and adj_close
-overwritten) appended to the window, and the window slides one step. The
-sequence model consumes the (L, F) window directly; the spline network
-flattens it row-major. Predictions are never clamped — spline-domain
-clamping already handles out-of-range inputs on the KAN side.
+overwritten) appended to the window, and the window slides one step.
+Predictions are never clamped — spline-domain clamping already handles
+out-of-range inputs on the KAN side.
+
+A model sees its windows through ``model.encode``, which maps every row on
+its own, independent of the parameters. So a rollout keeps a tape of
+encoded rows, (B, L + H - 1, ...) per encoded array: the seed windows are
+encoded once, each step encodes only its one new pseudo-row, and step s
+passes the model the window views ``tape[:, s:s+L]`` without copying. The
+sequence model's encoding is the raw window; the spline network's is its
+first layer's silu and basis features, which hold only while that layer's
+``SplineSpec`` stays as it was when they were made.
 """
 
 from dataclasses import dataclass
@@ -72,24 +80,33 @@ def iterative_forecast_batch(
     adj_close_col: int | None = None,
 ) -> np.ndarray:
     """Roll many (L, F) windows forward at once; returns (B, H) predictions."""
-    windows = np.array(seed_windows, dtype=np.float64)
+    windows = np.asarray(seed_windows, dtype=np.float64)
     if windows.ndim != 3:
         raise ValueError(f"seed windows must be 3-D (B, L, F), got shape {windows.shape}")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     close_col, adj_close_col = _close_columns(windows.shape[2], close_col, adj_close_col)
 
-    preds = np.empty((windows.shape[0], horizon))
+    n, lookback, _ = windows.shape
+    tape = []
+    for seed in model.encode(windows):
+        t = np.empty((n, lookback + horizon - 1) + seed.shape[2:])
+        t[:, :lookback] = seed
+        tape.append(t)
+    row = windows[:, -1, :].copy()  # the raw last row, carried into each pseudo-row
+    preds = np.empty((n, horizon))
     for step in range(horizon):
-        p = model.predict_window_batch(windows)
-        if not np.all(np.isfinite(p)):
+        p = model.predict_window_batch(tuple(t[:, step : step + lookback] for t in tape))
+        if not np.isfinite(p).all():
             raise RuntimeError(f"non-finite prediction at step {step + 1}")
         preds[:, step] = p
-        rows = windows[:, -1, :].copy()
-        rows[:, close_col] = p
+        if step + 1 == horizon:
+            break
+        row[:, close_col] = p
         if adj_close_col is not None:
-            rows[:, adj_close_col] = p
-        windows = np.concatenate([windows[:, 1:, :], rows[:, None, :]], axis=1)
+            row[:, adj_close_col] = p
+        for t, new in zip(tape, model.encode(row[:, None, :])):
+            t[:, lookback + step] = new[:, 0]
     return preds
 
 

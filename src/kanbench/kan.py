@@ -5,8 +5,21 @@ node output is the plain sum over its incoming edges, so a layer carries an
 (out_dim, in_dim, n_basis) coefficient tensor plus an (out_dim, in_dim)
 residual weight matrix. The silu residual keeps gradients alive where the
 splines are flat or clamped. All gradients are exact analytic derivatives.
+
+Every edge acts on one input scalar, so the first layer reads its input only
+through two per-scalar features: silu(x) and the B-spline basis row of x.
+``KanNetwork.encode`` computes them for a (B, L, F) batch of windows, row by
+row, as a (B, L, F) silu array and a (B, L, F·n_basis) basis array. They
+depend on the data and on the first layer's ``SplineSpec`` alone, never on
+the trained parameters, so training encodes its windows once and a rollout
+encodes only each new pseudo-row (see ``forecast``). A change to that spec,
+such as a domain fitted to the data, invalidates every encoding made
+before it. ``kan_forward_batch`` and ``kan_backward`` take the two encoded
+arrays; ``predict_window_batch`` and ``batch_loss_and_grad`` also take raw
+windows or (B, L·F) rows and encode them first.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,23 +83,44 @@ class KanNetwork:
                 a[...] = flat[pos : pos + a.size].reshape(a.shape)
                 pos += a.size
 
+    def encode(self, windows):
+        """First-layer features of (B, L, F) windows: silu(x) as (B, L, F)
+        and the basis as (B, L, F·n_basis).
+
+        Each scalar is encoded on its own, so any (B, ..., F) array works,
+        a single (B, 1, F) row included; the input width is checked where
+        the features are read.
+        """
+        x = np.asarray(windows, dtype=np.float64)
+        if x.ndim < 2:
+            raise ValueError(f"inputs must be at least 2-D (batch, ...), got shape {x.shape}")
+        spec = self.layers[0].spec
+        phi = basis_matrix(spec, x.reshape(-1))  # rejects non-finite input first
+        return silu(x), phi.reshape(x.shape[:-1] + (x.shape[-1] * spec.n_basis,))
+
     def batch_loss_and_grad(self, inputs, targets):
-        return kan_backward(self, _flatten_windows(inputs), targets)
+        return kan_backward(self, *_features(self, inputs), targets)
 
     def predict_window_batch(self, windows) -> np.ndarray:
-        return kan_forward_batch(self, _flatten_windows(windows))
+        return kan_forward_batch(self, *_features(self, windows))
 
 
-def _flatten_windows(windows) -> np.ndarray:
-    """(B, L, F) windows as (B, L·F) rows, row-major; 2-D rows pass through.
-
-    The reshape is a view for contiguous windows, which is what make_windows
-    returns.
-    """
-    w = np.asarray(windows, dtype=np.float64)
-    if w.ndim != 3:
-        return w
-    return w.reshape(w.shape[0], w.shape[1] * w.shape[2])
+def _features(net: KanNetwork, inputs):
+    """Encoded input as given (a tuple), or raw (B, L, F) windows or (B, L·F)
+    rows checked for width and encoded."""
+    if isinstance(inputs, tuple):
+        if len(inputs) != 2:
+            raise ValueError(f"encoded inputs must be a (silu, basis) pair, "
+                             f"got {len(inputs)} arrays")
+        return inputs
+    x = np.asarray(inputs, dtype=np.float64)
+    in_dim = net.layers[0].in_dim
+    if x.ndim not in (2, 3) or math.prod(x.shape[1:]) != in_dim:
+        raise ValueError(
+            f"inputs must be (batch, {in_dim}) rows or (batch, L, F) windows "
+            f"with L·F = {in_dim}, got shape {x.shape}"
+        )
+    return net.encode(x)
 
 
 def kan_init(dims: list[int], spec: SplineSpec, rng: Rng) -> KanNetwork:
@@ -101,61 +135,83 @@ def kan_init(dims: list[int], spec: SplineSpec, rng: Rng) -> KanNetwork:
     return KanNetwork(layers)
 
 
-def _layer_forward(layer: KanLayer, x: np.ndarray):
-    """Layer outputs (B, out_dim) and the basis rows (B, in_dim·n_basis).
+def _check_features(net: KanNetwork, silu_x, basis):
+    """The encoded pair as (B, in_dim) and (B, in_dim·n_basis) views.
+
+    A shape that does not match the first layer, or a non-finite value,
+    raises ValueError before any computation.
+    """
+    layer = net.layers[0]
+    silu_x = np.asarray(silu_x, dtype=np.float64)
+    basis = np.asarray(basis, dtype=np.float64)
+    n_basis = layer.spec.n_basis
+    if silu_x.ndim < 2 or math.prod(silu_x.shape[1:]) != layer.in_dim:
+        raise ValueError(
+            f"silu features must hold {layer.in_dim} values per row, got shape {silu_x.shape}"
+        )
+    want = silu_x.shape[:-1] + (silu_x.shape[-1] * n_basis,)
+    if basis.shape != want:
+        raise ValueError(f"basis features must have shape {want}, got {basis.shape}")
+    if not (np.isfinite(silu_x).all() and np.isfinite(basis).all()):
+        raise ValueError("encoded inputs must be finite")
+    rows = silu_x.shape[0]
+    return silu_x.reshape(rows, layer.in_dim), basis.reshape(rows, layer.in_dim * n_basis)
+
+
+def _contract(layer: KanLayer, silu_x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Layer outputs (B, out_dim) from silu of its input (B, in_dim) and the
+    basis rows (B, in_dim·n_basis).
 
     The spline term contracts (i, p) jointly as one matmul against the
     coefficients flattened to (out_dim, in_dim·n_basis) in (o, i, p) order.
     """
-    phi = basis_matrix(layer.spec, x.reshape(-1)).reshape(x.shape[0], -1)
-    out = silu(x) @ layer.base.T + phi @ layer.coef.reshape(layer.out_dim, -1).T
-    return out, phi
+    return silu_x @ layer.base.T + phi @ layer.coef.reshape(layer.out_dim, -1).T
 
 
-def kan_forward_batch(net: KanNetwork, inputs) -> np.ndarray:
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.layers[0].in_dim:
-        raise ValueError(
-            f"inputs must be (batch, {net.layers[0].in_dim}), got shape {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("inputs must be finite")
-    for layer in net.layers:
-        x, _ = _layer_forward(layer, x)
-    return x[:, 0]
+def _forward(net: KanNetwork, silu_x: np.ndarray, basis: np.ndarray):
+    """Network output (B, out_dim) and what each layer read from its input
+    x: (x, silu(x), basis rows, sigmoid(x)). Layer 0 reads only the encoded
+    pair, so its x and sigmoid are None."""
+    reads = [(None, silu_x, basis, None)]
+    out = _contract(net.layers[0], silu_x, basis)
+    for layer in net.layers[1:]:
+        s = sigmoid(out)  # serves both silu(x) = x·s and its derivative
+        phi = basis_matrix(layer.spec, out.reshape(-1)).reshape(out.shape[0], -1)
+        silu_out = out * s
+        reads.append((out, silu_out, phi, s))
+        out = _contract(layer, silu_out, phi)
+    return out, reads
 
 
-def kan_backward(net: KanNetwork, inputs, targets):
-    """MSE loss over the batch plus exact gradients, packed flat like pack()."""
-    x = np.asarray(inputs, dtype=np.float64)
+def kan_forward_batch(net: KanNetwork, silu_x, basis) -> np.ndarray:
+    """Prediction per row of an encoded batch (see ``KanNetwork.encode``)."""
+    out, _ = _forward(net, *_check_features(net, silu_x, basis))
+    return out[:, 0]
+
+
+def kan_backward(net: KanNetwork, silu_x, basis, targets):
+    """MSE loss over an encoded batch plus exact gradients, packed flat like
+    pack()."""
+    silu_x, basis = _check_features(net, silu_x, basis)
     y = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("batch must be a nonempty 2-D array")
-    if x.shape[1] != net.layers[0].in_dim:
-        raise ValueError(f"inputs must be (batch, {net.layers[0].in_dim}), got {x.shape}")
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"targets must have shape ({x.shape[0]},), got {y.shape}")
+    if silu_x.shape[0] == 0:
+        raise ValueError("batch must be nonempty")
+    if y.shape != (silu_x.shape[0],):
+        raise ValueError(f"targets must have shape ({silu_x.shape[0]},), got {y.shape}")
 
-    acts = [x]
-    phis = []
-    for layer in net.layers:
-        out, phi = _layer_forward(layer, acts[-1])
-        acts.append(out)
-        phis.append(phi)
-
-    resid = acts[-1][:, 0] - y
+    out, reads = _forward(net, silu_x, basis)
+    resid = out[:, 0] - y
     loss = float(np.mean(resid**2))
-    delta = (2.0 / x.shape[0]) * resid[:, None]
+    delta = (2.0 / y.shape[0]) * resid[:, None]
 
     n = len(net.layers)
     coef_grads: list[np.ndarray] = [np.empty(0)] * n
     base_grads: list[np.ndarray] = [np.empty(0)] * n
     for li in reversed(range(n)):
         layer = net.layers[li]
-        xin = acts[li]
-        s = sigmoid(xin)  # serves both silu(x) = x·s and its derivative
-        coef_grads[li] = (delta.T @ phis[li]).reshape(layer.coef.shape)
-        base_grads[li] = delta.T @ (xin * s)
+        xin, silu_in, phi, s = reads[li]
+        coef_grads[li] = (delta.T @ phi).reshape(layer.coef.shape)
+        base_grads[li] = delta.T @ silu_in
         if li > 0:
             shape = (xin.shape[0], layer.in_dim, layer.spec.n_basis)
             dphi = basis_grad_matrix(layer.spec, xin.reshape(-1)).reshape(shape)

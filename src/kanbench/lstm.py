@@ -93,11 +93,26 @@ class LstmNetwork:
                 pos += a.size
         self.head[...] = flat[pos:]
 
+    def encode(self, windows):
+        """The windows themselves, as a 1-tuple: every layer reads its input
+        through the trained gates, so nothing is worth precomputing."""
+        return (np.asarray(windows, dtype=np.float64),)
+
     def batch_loss_and_grad(self, inputs, targets):
-        return lstm_loss_and_grad(self, inputs, targets)
+        return lstm_loss_and_grad(self, _windows(inputs), targets)
 
     def predict_window_batch(self, windows) -> np.ndarray:
-        return lstm_forward_batch(self, np.asarray(windows, dtype=np.float64))
+        return lstm_forward_batch(self, _windows(windows))
+
+
+def _windows(inputs):
+    """Raw (B, L, F) windows, unwrapped from encoded input (a 1-tuple)."""
+    if isinstance(inputs, tuple):
+        if len(inputs) != 1:
+            raise ValueError(f"encoded inputs must be a 1-tuple of windows, "
+                             f"got {len(inputs)} arrays")
+        return inputs[0]
+    return inputs
 
 
 def lstm_init(

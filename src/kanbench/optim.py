@@ -1,11 +1,15 @@
 """Trainers: Adam for the sequence model, L-BFGS for the spline network.
 
 Both optimizers see a model only through its flat parameter vector
-(``pack``/``unpack``) and a ``batch_loss_and_grad`` callable, so they are
-model-agnostic. L-BFGS is full-batch by construction — the line search needs
-a deterministic loss — and uses the standard two-loop recursion with initial
-Hessian scaling, a strong-Wolfe line search (bracket + bisection zoom), and a
-backtracking fallback along the negative gradient.
+(``pack``/``unpack``), its ``encode`` of the training windows and a
+``batch_loss_and_grad`` callable, so they are model-agnostic. ``train``
+encodes the training set once: an encoding depends on the data alone, so
+every L-BFGS evaluation and every Adam minibatch (rows picked from the
+encoded arrays) reads the same features. L-BFGS is full-batch by
+construction — the line search needs a deterministic loss — and uses the
+standard two-loop recursion with initial Hessian scaling, a strong-Wolfe
+line search (bracket + bisection zoom), and a backtracking fallback along
+the negative gradient.
 """
 
 import time
@@ -266,7 +270,8 @@ def train(model, inputs, targets, config: TrainConfig) -> TrainReport:
 
 def _train_loop(model, x, y, config: TrainConfig) -> TrainReport:
     t0 = time.perf_counter()
-    history = [_full_rmse(model, x, y)]
+    features = model.encode(x)
+    history = [_full_rmse(model, features, y)]
     stopped_early = False
     stalled = False
     epochs_run = 0
@@ -281,13 +286,14 @@ def _train_loop(model, x, y, config: TrainConfig) -> TrainReport:
             order = rng.permutation(n)
             for lo in range(0, n, bs):
                 idx = order[lo : lo + bs]
-                loss, grads = model.batch_loss_and_grad(x[idx], y[idx])
+                batch = tuple(a[idx] for a in features)
+                loss, grads = model.batch_loss_and_grad(batch, y[idx])
                 if not (np.isfinite(loss) and np.all(np.isfinite(grads))):
                     raise TrainingDiverged(epoch, f"loss={loss!r}")
                 params = adam_step(state, params, grads)
                 model.unpack(params)
             epochs_run = epoch
-            rmse = _full_rmse(model, x, y)
+            rmse = _full_rmse(model, features, y)
             if not np.isfinite(rmse):
                 raise TrainingDiverged(epoch, f"epoch RMSE={rmse!r}")
             history.append(rmse)
@@ -300,7 +306,7 @@ def _train_loop(model, x, y, config: TrainConfig) -> TrainReport:
 
         def full_loss_and_grad(flat):
             model.unpack(flat)
-            return model.batch_loss_and_grad(x, y)
+            return model.batch_loss_and_grad(features, y)
 
         for epoch in range(1, config.max_epochs + 1):
             try:

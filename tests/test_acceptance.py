@@ -95,7 +95,7 @@ def test_criterion_1_gradient_correctness(capsys):
 
         def kan_loss(p):
             kan.unpack(p)
-            return float(np.mean((kan_forward_batch(kan, x) - y) ** 2))
+            return float(np.mean((kan_forward_batch(kan, *kan.encode(x)) - y) ** 2))
 
         for _ in range(5):
             point = rng.normal(0.0, 0.3, size=kan.pack().size)

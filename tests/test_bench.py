@@ -201,7 +201,11 @@ class TestPrepare:
 class StepAheadOracle:
     """Predicts the previous close — transparent for walk-forward checks."""
 
-    def predict_window_batch(self, windows):
+    def encode(self, windows):
+        return (windows,)
+
+    def predict_window_batch(self, encoded):
+        (windows,) = encoded
         return windows[:, -1, 0]
 
 

@@ -1,6 +1,7 @@
-"""Iterative forecasting: manual chaining oracle, prefix consistency,
-row independence of batched rollouts, pseudo-row column handling, failure
-behavior."""
+"""Iterative forecasting: manual chaining oracle, the former
+concatenate-and-slide rollout as a bit-exact reference for the encoded
+tape, prefix consistency, row independence of batched rollouts, pseudo-row
+column handling, failure behavior."""
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from kanbench.lstm import lstm_init
 from kanbench.numcore import make_rng
 
 
-class MeanCloseModel:
+class RawWindows:
+    """Identity encoding, as the LSTM's: the fakes below read raw windows."""
+
+    def encode(self, windows):
+        return (windows,)
+
+
+class MeanCloseModel(RawWindows):
     """Transparent reference model: predicts the mean close of each window.
 
     Chaining is easy to reproduce by hand, so the pseudo-row mechanics of
@@ -28,28 +36,31 @@ class MeanCloseModel:
     def __init__(self, close_col):
         self.close_col = close_col
 
-    def predict_window_batch(self, windows):
+    def predict_window_batch(self, encoded):
+        (windows,) = encoded
         return np.mean(windows[:, :, self.close_col], axis=1)
 
 
-class LastRowEcho:
+class LastRowEcho(RawWindows):
     """Predicts the last row's close; keeps the first window of each call."""
 
     def __init__(self, close_col=0):
         self.close_col = close_col
         self.seen = []
 
-    def predict_window_batch(self, windows):
+    def predict_window_batch(self, encoded):
+        (windows,) = encoded
         self.seen.append(windows[0].copy())
         return windows[:, -1, self.close_col]
 
 
-class NanAtStep:
+class NanAtStep(RawWindows):
     def __init__(self, bad_step):
         self.bad_step = bad_step
         self.calls = 0
 
-    def predict_window_batch(self, windows):
+    def predict_window_batch(self, encoded):
+        (windows,) = encoded
         self.calls += 1
         out = np.full(windows.shape[0], 0.5)
         if self.calls == self.bad_step:
@@ -59,6 +70,23 @@ class NanAtStep:
 
 def rng_window(rng, lookback, n_features):
     return rng.uniform(0.1, 0.9, size=(lookback, n_features))
+
+
+def reference_rollout(model, seed_windows, horizon, close_col, adj_close_col):
+    """The rollout before the encoded tape: every step predicts from raw
+    windows, copies the last row into a pseudo-row and concatenates a fresh
+    (B, L, F) window array."""
+    windows = np.array(seed_windows, dtype=np.float64)
+    preds = np.empty((windows.shape[0], horizon))
+    for step in range(horizon):
+        p = model.predict_window_batch(windows)
+        preds[:, step] = p
+        rows = windows[:, -1, :].copy()
+        rows[:, close_col] = p
+        if adj_close_col is not None:
+            rows[:, adj_close_col] = p
+        windows = np.concatenate([windows[:, 1:, :], rows[:, None, :]], axis=1)
+    return preds
 
 
 class TestIterativeForecast:
@@ -187,6 +215,33 @@ class TestBatchForecast:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="3-D"):
             iterative_forecast_batch(MeanCloseModel(0), np.ones((4, 1)), 1)
+
+
+class TestEncodedTape:
+    # (feature mode, n_features, close column, adj_close column)
+    MODES = {"ohlcv": (6, CLOSE, ADJ_CLOSE), "close_only": (1, 0, None)}
+
+    @pytest.mark.parametrize("horizon", [1, 2, 37])
+    @pytest.mark.parametrize("n_windows", [1, 5])
+    @pytest.mark.parametrize("mode", ["ohlcv", "close_only"])
+    @pytest.mark.parametrize("family", ["kan", "lstm"])
+    def test_equals_reference_rollout_bit_for_bit(self, family, mode, n_windows, horizon):
+        n_features, close_col, adj_close_col = self.MODES[mode]
+        lookback = 8
+        if family == "kan":
+            model = kan_init([lookback * n_features, 5, 1], SplineSpec(3, 2), make_rng(21))
+        else:
+            model = lstm_init(n_features, hidden=6, n_layers=2, rng=make_rng(21))
+        windows = make_rng(22).uniform(0.1, 0.9, size=(n_windows, lookback, n_features))
+        want = reference_rollout(model, windows, horizon, close_col, adj_close_col)
+        got = iterative_forecast_batch(model, windows, horizon)
+        assert np.array_equal(got, want)
+
+    def test_seed_windows_are_not_modified(self):
+        windows = make_rng(23).uniform(0.1, 0.9, size=(3, 4, 6))
+        before = windows.copy()
+        iterative_forecast_batch(MeanCloseModel(CLOSE), windows, horizon=5)
+        assert np.array_equal(windows, before)
 
 
 class TestTrace:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from kanbench import kan as kan_module
 from kanbench.bspline import SplineSpec, basis_grad_matrix, basis_matrix
 from kanbench.kan import (
     KanLayer,
@@ -66,7 +67,8 @@ class TestForwardOracle:
         net = KanNetwork([KanLayer(1, 1, spec, coef, base)])
         x = np.array([0.0, 0.2, 0.55, 0.9, 1.0])
         expected = 0.7 * silu(x) + basis_matrix(spec, x) @ coef[0, 0]
-        assert np.allclose(kan_forward_batch(net, x[:, None]), expected, rtol=0, atol=1e-12)
+        got = kan_forward_batch(net, *net.encode(x[:, None]))
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_node_sums_incoming_edges(self):
         # [2,1]: output equals the sum of the two single-edge sub-networks
@@ -79,23 +81,97 @@ class TestForwardOracle:
         parts = []
         for i in range(2):
             sub = KanNetwork([KanLayer(1, 1, spec, coef[:, i : i + 1], base[:, i : i + 1])])
-            parts.append(kan_forward_batch(sub, x[None, i : i + 1])[0])
-        assert kan_forward_batch(net, x[None])[0] == pytest.approx(sum(parts), abs=1e-12)
+            parts.append(kan_forward_batch(sub, *sub.encode(x[None, i : i + 1]))[0])
+        whole = kan_forward_batch(net, *net.encode(x[None]))[0]
+        assert whole == pytest.approx(sum(parts), abs=1e-12)
 
     def test_batch_matches_scalar(self):
         # rows are independent: B rows at once equal each row with B=1
         net = small_net()
         x = make_rng(2).uniform(-0.2, 1.2, size=(9, 4))
-        batch = kan_forward_batch(net, x)
-        singles = [kan_forward_batch(net, row[None])[0] for row in x]
+        batch = kan_forward_batch(net, *net.encode(x))
+        singles = [kan_forward_batch(net, *net.encode(row[None]))[0] for row in x]
         assert np.allclose(batch, singles, atol=1e-12)
 
     def test_input_validation(self):
         net = small_net()
         with pytest.raises(ValueError):
-            kan_forward_batch(net, np.full((1, 2), 0.1))  # wrong width
+            kan_forward_batch(net, *net.encode(np.full((1, 2), 0.1)))  # wrong width
         with pytest.raises(ValueError):
-            kan_forward_batch(net, np.full((2, 4), np.nan))
+            kan_forward_batch(net, *net.encode(np.full((2, 4), np.nan)))
+
+
+class TestEncode:
+    def net(self):
+        return kan_init([4 * 3, 5, 1], SplineSpec(4, 3), make_rng(30))
+
+    def test_windows_encode_row_by_row(self):
+        net = self.net()
+        windows = make_rng(31).uniform(-0.2, 1.2, size=(7, 4, 3))
+        silu_x, basis = net.encode(windows)
+        assert silu_x.shape == (7, 4, 3) and basis.shape == (7, 4, 3 * 7)
+        rows = [net.encode(windows[:, t : t + 1]) for t in range(4)]
+        assert np.array_equal(silu_x, np.concatenate([r[0] for r in rows], axis=1))
+        assert np.array_equal(basis, np.concatenate([r[1] for r in rows], axis=1))
+
+    def test_encoded_input_gives_raw_results_exactly(self):
+        net = self.net()
+        windows = make_rng(32).uniform(-0.2, 1.2, size=(7, 4, 3))
+        y = make_rng(33).normal(size=7)
+        encoded = net.encode(windows)
+        want = net.predict_window_batch(windows)
+        assert np.array_equal(net.predict_window_batch(encoded), want)
+        assert np.array_equal(net.predict_window_batch(windows.reshape(7, 12)), want)
+        loss_e, grad_e = net.batch_loss_and_grad(encoded, y)
+        loss_r, grad_r = net.batch_loss_and_grad(windows, y)
+        assert loss_e == loss_r and np.array_equal(grad_e, grad_r)
+        # rows picked from the encoded arrays, as Adam's minibatches are
+        idx = np.array([5, 0, 3])
+        picked = tuple(a[idx] for a in encoded)
+        assert np.array_equal(net.predict_window_batch(picked),
+                              net.predict_window_batch(windows[idx]))
+
+    def test_bad_input_rejected_before_any_computation(self, monkeypatch):
+        net = self.net()
+        windows = make_rng(34).uniform(0.0, 1.0, size=(2, 4, 3))
+        silu_x, basis = net.encode(windows)
+        y = np.zeros(2)
+
+        def computed(*args, **kwargs):
+            raise AssertionError("computation started on rejected input")
+
+        # basis_matrix checks its input before computing; silu and the
+        # layer contractions must never run
+        for name in ("silu", "_forward"):
+            monkeypatch.setattr(kan_module, name, computed)
+        nan_silu, inf_basis = silu_x.copy(), basis.copy()
+        nan_silu[1, 2, 0] = np.nan
+        inf_basis[0, 3, 5] = np.inf
+        bad_pairs = [
+            (silu_x, basis[..., :-1]),  # basis width not in_dim·n_basis
+            (silu_x, basis.reshape(2, -1)),  # basis rows not shaped like silu rows
+            (silu_x[:1], basis),  # batch sizes disagree
+            (silu_x[:, :3], basis[:, :3]),  # 9 inputs for a 12-input layer
+            (nan_silu, basis),
+            (silu_x, inf_basis),
+        ]
+        for pair in bad_pairs:
+            for call in (lambda: kan_forward_batch(net, *pair),
+                         lambda: kan_backward(net, *pair, y),
+                         lambda: net.predict_window_batch(pair),
+                         lambda: net.batch_loss_and_grad(pair, y)):
+                with pytest.raises(ValueError):
+                    call()
+        bad_raw = [np.full((2, 5), 0.1), np.full((2, 2, 3), 0.1), np.full((2, 4, 3), np.nan),
+                   np.full(12, 0.1)]
+        for raw in bad_raw:
+            with pytest.raises(ValueError):
+                net.predict_window_batch(raw)
+            with pytest.raises(ValueError):
+                net.batch_loss_and_grad(raw, y)
+        for wrong_arity in [(silu_x,), (silu_x, basis, basis)]:
+            with pytest.raises(ValueError, match="pair"):
+                net.predict_window_batch(wrong_arity)
 
 
 class TestGradients:
@@ -105,16 +181,16 @@ class TestGradients:
         rng = make_rng(17)
         x = rng.uniform(0.05, 0.95, size=(5, dims[0]))
         y = rng.normal(size=5)
-        _, g = kan_backward(net, x, y)
+        _, g = kan_backward(net, *net.encode(x), y)
         flat = net.pack()
         h = 1e-5
         for i in range(0, flat.size, max(1, flat.size // 60)):  # spot-check coords
             fp = flat.copy(); fp[i] += h
             net.unpack(fp)
-            lp, _ = kan_backward(net, x, y)
+            lp, _ = kan_backward(net, *net.encode(x), y)
             fm = flat.copy(); fm[i] -= h
             net.unpack(fm)
-            lm, _ = kan_backward(net, x, y)
+            lm, _ = kan_backward(net, *net.encode(x), y)
             num = (lp - lm) / (2 * h)
             assert g[i] == pytest.approx(num, rel=1e-4, abs=1e-8)
         net.unpack(flat)
@@ -123,15 +199,15 @@ class TestGradients:
         net = small_net()
         x = make_rng(3).uniform(0, 1, size=(6, 4))
         y = make_rng(4).normal(size=6)
-        loss, _ = kan_backward(net, x, y)
-        preds = kan_forward_batch(net, x)
+        loss, _ = kan_backward(net, *net.encode(x), y)
+        preds = kan_forward_batch(net, *net.encode(x))
         assert loss == pytest.approx(float(np.mean((preds - y) ** 2)), abs=1e-14)
 
     def test_zero_residual_zero_gradient(self):
         net = small_net()
         x = make_rng(6).uniform(0, 1, size=(4, 4))
-        y = kan_forward_batch(net, x)
-        loss, grads = kan_backward(net, x, y)
+        y = kan_forward_batch(net, *net.encode(x))
+        loss, grads = kan_backward(net, *net.encode(x), y)
         assert loss == pytest.approx(0.0, abs=1e-28)
         assert np.allclose(grads, 0.0, atol=1e-14)
 
@@ -146,7 +222,8 @@ class TestGradients:
         windows = x.reshape(3, 2, 2)
         loss_w, flat_w = net.batch_loss_and_grad(windows, y)
         assert loss_w == loss and np.array_equal(flat_w, flat)
-        assert np.array_equal(net.predict_window_batch(windows), kan_forward_batch(net, x))
+        assert np.array_equal(net.predict_window_batch(windows),
+                              kan_forward_batch(net, *net.encode(x)))
 
 
 def einsum_forward_backward(net, x, y):
@@ -179,8 +256,9 @@ class TestContractions:
         x = rng.uniform(-0.2, 1.2, size=(11, 6))
         y = rng.normal(size=11)
         preds, loss, flat = einsum_forward_backward(net, x, y)
-        np.testing.assert_allclose(kan_forward_batch(net, x), preds, rtol=0, atol=1e-12)
-        got_loss, got_flat = kan_backward(net, x, y)
+        got = kan_forward_batch(net, *net.encode(x))
+        np.testing.assert_allclose(got, preds, rtol=0, atol=1e-12)
+        got_loss, got_flat = kan_backward(net, *net.encode(x), y)
         assert got_loss == pytest.approx(loss, rel=0, abs=1e-12)
         assert got_flat.shape == (net.n_params,)
         np.testing.assert_allclose(got_flat, flat, rtol=0, atol=1e-12)
@@ -194,7 +272,8 @@ class TestPackUnpack:
         other.unpack(flat)
         assert np.array_equal(other.pack(), flat)
         x = make_rng(1).uniform(0, 1, size=(3, 4))
-        assert np.allclose(kan_forward_batch(net, x), kan_forward_batch(other, x))
+        assert np.allclose(kan_forward_batch(net, *net.encode(x)),
+                           kan_forward_batch(other, *other.encode(x)))
 
     def test_wrong_length_rejected(self):
         net = small_net()

@@ -255,6 +255,26 @@ class TestForwardOracle:
         with pytest.raises(ValueError):
             lstm_forward_batch(net, np.zeros((4, 3)))  # a window without its batch axis
 
+    def test_encoded_input_is_the_windows(self):
+        net = small_net(seed=12)
+        x = make_rng(7).normal(size=(5, 6, 3))
+        y = make_rng(8).normal(size=5)
+        encoded = net.encode(x)
+        assert len(encoded) == 1 and np.array_equal(encoded[0], x)
+        assert np.array_equal(net.predict_window_batch(encoded), net.predict_window_batch(x))
+        loss_e, grad_e = net.batch_loss_and_grad(encoded, y)
+        loss_r, grad_r = net.batch_loss_and_grad(x, y)
+        assert loss_e == loss_r and np.array_equal(grad_e, grad_r)
+
+    def test_encoded_input_validated(self):
+        net = small_net()
+        x = np.zeros((2, 4, 3))
+        for bad in [(x, x), (), (np.zeros((2, 4, 99)),), (np.full((2, 4, 3), np.nan),)]:
+            with pytest.raises(ValueError):
+                net.predict_window_batch(bad)
+            with pytest.raises(ValueError):
+                net.batch_loss_and_grad(bad, np.zeros(2))
+
 
 class TestPerGateOracle:
     @pytest.mark.parametrize("layers", [1, 2, 3])

@@ -232,6 +232,43 @@ class TestTrainLoop:
         assert reports[0] == reports[1]
         assert np.array_equal(finals[0], finals[1])
 
+    @pytest.mark.parametrize("optimizer", ["adam", "lbfgs"])
+    def test_encoded_training_equals_raw_loop(self, optimizer):
+        # train() encodes the windows once; a loop feeding raw windows (Adam:
+        # raw minibatches in the same shuffled order) must end bit-equal
+        rng = make_rng(40)
+        x = rng.uniform(0.0, 1.0, size=(100, 4, 3))
+        y = rng.uniform(0.0, 1.0, size=100)
+        config = TrainConfig(optimizer=optimizer, lr=1e-2, batch_size=32, max_epochs=2,
+                             shuffle_seed=5)
+        net = kan_init([12, 4, 1], SplineSpec(3, 2), make_rng(41))
+        ref = kan_init([12, 4, 1], SplineSpec(3, 2), make_rng(41))
+        report = train(net, x, y, config)
+        assert report.epochs_run == 2
+
+        params = ref.pack()
+        if optimizer == "adam":
+            state = adam_init(params.size, config.lr, config.beta1, config.beta2, config.eps)
+            order_rng = make_rng(config.shuffle_seed)
+            for _ in range(config.max_epochs):
+                order = order_rng.permutation(len(y))
+                for lo in range(0, len(y), config.batch_size):
+                    idx = order[lo : lo + config.batch_size]
+                    _, grads = ref.batch_loss_and_grad(x[idx], y[idx])
+                    params = adam_step(state, params, grads)
+                    ref.unpack(params)
+        else:
+            state = LbfgsState(m_mem=config.lbfgs_memory, max_ls_steps=config.max_ls_steps)
+
+            def raw_loss_and_grad(flat):
+                ref.unpack(flat)
+                return ref.batch_loss_and_grad(x, y)
+
+            for _ in range(config.max_epochs):
+                params, _, _ = lbfgs_step(state, raw_loss_and_grad, params)
+                ref.unpack(params)
+        assert np.array_equal(net.pack(), ref.pack())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(optimizer="sgd")
