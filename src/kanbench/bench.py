@@ -445,6 +445,17 @@ def load_results(path):
     return [result_from_dict(d) for d in payload["results"]]
 
 
+def load_matrix(path):
+    """Read a matrix file: a JSON list of configs or {"experiments": [...]}."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if isinstance(payload, dict):
+        payload = payload.get("experiments")
+    if not isinstance(payload, list) or not payload:
+        raise ValueError('matrix JSON must be a list of configs or {"experiments": [...]}')
+    return [config_from_dict(d) for d in payload]
+
+
 # --------------------------------------------------------------------------
 # Comparison table and reports
 
@@ -551,6 +562,20 @@ def _fmt(value, places: int = 4) -> str:
     return f"{value:.{places}f}"
 
 
+def _cells(row: ComparisonRow):
+    """One report row's cells, in CSV_REPORT_HEADER order."""
+    return [
+        row.model,
+        row.config_label,
+        row.regime,
+        str(row.horizon),
+        _fmt(row.train_rmse),
+        _fmt(row.test_rmse),
+        _fmt(row.wall_seconds),
+        _fmt(row.ratio),
+    ]
+
+
 def emit_report(results, fmt: str, out_dir, best_only: bool = False):
     """Render results to files; returns the list of written paths."""
     if not results:
@@ -567,21 +592,7 @@ def emit_report(results, fmt: str, out_dir, best_only: bool = False):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(CSV_REPORT_HEADER + "\n")
             for r in rows:
-                fh.write(
-                    ",".join(
-                        [
-                            r.model,
-                            r.config_label,
-                            r.regime,
-                            str(r.horizon),
-                            _fmt(r.train_rmse),
-                            _fmt(r.test_rmse),
-                            _fmt(r.wall_seconds),
-                            _fmt(r.ratio),
-                        ]
-                    )
-                    + "\n"
-                )
+                fh.write(",".join(_cells(r)) + "\n")
         written.append(path)
         rt_path = os.path.join(out_dir, "runtime.csv")
         with open(rt_path, "w", encoding="utf-8") as fh:
@@ -601,22 +612,7 @@ def emit_report(results, fmt: str, out_dir, best_only: bool = False):
             fh.write("| " + " | ".join(cols) + " |\n")
             fh.write("|" + "---|" * len(cols) + "\n")
             for r in rows:
-                fh.write(
-                    "| "
-                    + " | ".join(
-                        [
-                            r.model,
-                            r.config_label,
-                            r.regime,
-                            str(r.horizon),
-                            _fmt(r.train_rmse),
-                            _fmt(r.test_rmse),
-                            _fmt(r.wall_seconds),
-                            _fmt(r.ratio),
-                        ]
-                    )
-                    + " |\n"
-                )
+                fh.write("| " + " | ".join(_cells(r)) + " |\n")
             fh.write("\nMean training runtime: ")
             fh.write(
                 f"KAN {_fmt(runtime['kan']['mean_wall_seconds'])} s, "

@@ -19,6 +19,7 @@ from .bench import (
     config_to_dict,
     emit_report,
     fit,
+    load_matrix,
     load_results,
     prepare,
     run_matrix,
@@ -161,18 +162,8 @@ def _cmd_forecast(args) -> None:
     print(f"forecast {args.horizon} steps with {kind} -> {args.out}")
 
 
-def _parse_matrix(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if isinstance(payload, dict):
-        payload = payload.get("experiments")
-    if not isinstance(payload, list) or not payload:
-        raise ValueError('matrix JSON must be a list of configs or {"experiments": [...]}')
-    return [config_from_dict(d) for d in payload]
-
-
 def _cmd_benchmark(args) -> None:
-    configs = _parse_matrix(args.matrix)
+    configs = load_matrix(args.matrix)
     results = run_matrix(configs, parallelism=args.parallel)
     os.makedirs(args.out_dir, exist_ok=True)
     results_path = os.path.join(args.out_dir, "results.json")

@@ -43,16 +43,13 @@ class ForecastTrace:
                 raise ValueError(f"actual shape {self.actual.shape} != ({self.horizon},)")
 
 
-def _close_columns(n_features: int, close_col, adj_close_col):
+def _close_columns(n_features: int, close_col):
     """Resolve which columns the prediction overwrites in pseudo-rows."""
     if close_col is None:
         close_col = 0 if n_features == 1 else CLOSE
-    if adj_close_col is None and n_features > max(CLOSE, ADJ_CLOSE):
-        adj_close_col = ADJ_CLOSE
     if not 0 <= close_col < n_features:
         raise ValueError(f"close_col {close_col} out of range for {n_features} features")
-    if adj_close_col is not None and not 0 <= adj_close_col < n_features:
-        raise ValueError(f"adj_close_col {adj_close_col} out of range")
+    adj_close_col = ADJ_CLOSE if n_features > max(CLOSE, ADJ_CLOSE) else None
     return close_col, adj_close_col
 
 
@@ -62,13 +59,12 @@ def iterative_forecast(
     horizon: int,
     actual=None,
     close_col: int | None = None,
-    adj_close_col: int | None = None,
 ) -> ForecastTrace:
     """Chain one-step predictions H times from one (L, F) scaled window."""
     window = np.asarray(seed_window, dtype=np.float64)
     if window.ndim != 2:
         raise ValueError(f"seed window must be 2-D (L, F), got shape {window.shape}")
-    preds = iterative_forecast_batch(model, window[None], horizon, close_col, adj_close_col)
+    preds = iterative_forecast_batch(model, window[None], horizon, close_col)
     return ForecastTrace(horizon, preds[0], actual)
 
 
@@ -77,7 +73,6 @@ def iterative_forecast_batch(
     seed_windows,
     horizon: int,
     close_col: int | None = None,
-    adj_close_col: int | None = None,
 ) -> np.ndarray:
     """Roll many (L, F) windows forward at once; returns (B, H) predictions."""
     windows = np.asarray(seed_windows, dtype=np.float64)
@@ -85,7 +80,7 @@ def iterative_forecast_batch(
         raise ValueError(f"seed windows must be 3-D (B, L, F), got shape {windows.shape}")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    close_col, adj_close_col = _close_columns(windows.shape[2], close_col, adj_close_col)
+    close_col, adj_close_col = _close_columns(windows.shape[2], close_col)
 
     n, lookback, _ = windows.shape
     tape = []

@@ -8,17 +8,16 @@ output capture). Budgets are wall-clock on a desktop-class machine.
 import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kanbench.bench import (
     DataConfig,
-    ExperimentConfig,
-    KanParams,
-    LstmParams,
     comparison_table,
     emit_report,
+    load_matrix,
     result_canonical_json,
     run_experiment,
     run_matrix,
@@ -341,42 +340,18 @@ def test_criterion_5_pipeline_exactness(capsys):
 REGIMES = ("normal", "volatile", "trending")
 HORIZONS = (1, 2, 100, 200)
 SEEDS = (0, 1, 2)
+HEADLINE = Path(__file__).resolve().parent.parent / "configs" / "headline.json"
 
 
-def tuned_config(model, regime, seed):
-    data = DataConfig(regime=regime, days=1250, data_seed=7)
-    if model == "lstm":
-        return ExperimentConfig(
-            model="lstm",
-            lstm=LstmParams(layers=2, units=10, head_activation="linear"),
-            data=data,
-            lookback=20,
-            horizons=HORIZONS,
-            train=TrainConfig(optimizer="adam", lr=1e-2, max_epochs=40, batch_size=32),
-            seed=seed,
-        )
-    return ExperimentConfig(
-        model="kan",
-        kan=KanParams(grid_size=3, degree=2, hidden=8),
-        data=data,
-        lookback=20,
-        horizons=HORIZONS,
-        train=TrainConfig(optimizer="lbfgs", max_epochs=40),
-        seed=seed,
-    )
+def first_entry(model):
+    return next(c for c in load_matrix(HEADLINE) if c.model == model)
 
 
 @pytest.fixture(scope="module")
 def benchmark_matrix():
-    configs = [
-        tuned_config(model, regime, seed)
-        for regime in REGIMES
-        for model in ("kan", "lstm")
-        for seed in SEEDS
-    ]
     t0 = time.perf_counter()
     try:
-        results = run_matrix(configs, parallelism=1)
+        results = run_matrix(load_matrix(HEADLINE), parallelism=1)
         return results, time.perf_counter() - t0, None
     except Exception as err:  # surfaced by both dependent criteria
         return None, time.perf_counter() - t0, repr(err)
@@ -421,13 +396,15 @@ def test_criterion_7_determinism(capsys):
     ok, detail = True, ""
     try:
         small = dataclasses.replace(
-            tuned_config("kan", "normal", seed=3),
+            first_entry("kan"),
+            seed=3,
             data=DataConfig(regime="normal", days=160, data_seed=7),
             horizons=(1, 2),
             train=TrainConfig(optimizer="lbfgs", max_epochs=8),
         )
         small_lstm = dataclasses.replace(
-            tuned_config("lstm", "volatile", seed=4),
+            first_entry("lstm"),
+            seed=4,
             data=DataConfig(regime="volatile", days=160, data_seed=7),
             horizons=(1, 2),
             train=TrainConfig(optimizer="adam", lr=1e-2, max_epochs=8, batch_size=16),

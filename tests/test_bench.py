@@ -2,8 +2,10 @@
 evaluation oracle, determinism, matrix execution, tables and reports."""
 
 import dataclasses
+import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from kanbench.bench import (
     config_from_dict,
     config_to_dict,
     emit_report,
+    load_matrix,
     load_results,
     prepare,
     result_canonical_json,
@@ -336,6 +339,15 @@ class TestRunMatrix:
             run_matrix([tiny_config(), bad])
         with pytest.raises(ValueError, match="no experiments"):
             run_matrix([])
+
+
+class TestHeadlineMatrix:
+    def test_three_regimes_two_models_three_seeds(self):
+        configs = load_matrix(Path(__file__).resolve().parent.parent / "configs" / "headline.json")
+        assert sorted((c.data.regime, c.model, c.seed) for c in configs) == sorted(
+            itertools.product(("normal", "volatile", "trending"), ("kan", "lstm"), (0, 1, 2))
+        )
+        assert all(c.horizons == (1, 2, 100, 200) for c in configs)
 
 
 def fake_result(model, regime, horizon_rmses, train_rmse=0.1, wall=1.0,

@@ -79,8 +79,13 @@ class TestMseRmse:
     def test_rmse_scale_equivariance(self, pairs, scale):
         pred = np.array([p for p, _ in pairs])
         actual = np.array([a for _, a in pairs])
+        # Forming s*p - s*a rounds each product, so when p ~ a the scaled
+        # differences carry an absolute error of a few eps * s * |p|.
+        magnitude = max(np.abs(pred).max(), np.abs(actual).max())
         assert rmse(pred * scale, actual * scale) == pytest.approx(
-            scale * rmse(pred, actual), rel=1e-10, abs=1e-300
+            scale * rmse(pred, actual),
+            rel=1e-10,
+            abs=4 * np.finfo(np.float64).eps * scale * magnitude,
         )
 
     def test_empty_rejected(self):
