@@ -10,16 +10,24 @@ b_i..b_g, as in checkpoints of the per-gate layout. Layers are stacked by
 feeding the full hidden-state stream upward; a bias-free linear or tanh head
 reads the top layer's final hidden state.
 
-Inside, streams are time-major with the batch last, (steps, features,
-batch), so every gate block is a contiguous run of rows. Gradients come
-from full BPTT, not truncation: the training pass stacks [h; x], c_prev,
-the gate activations and tanh(c) over all steps; the backward loop fills one
-(steps, 4·hidden, batch) array of gate deltas, and each layer's weight, bias
-and input gradients are then one array op each. The forward-only pass keeps
-no cache and reuses one (hidden + input, batch) column buffer.
+The stack runs as a wavefront (Appleyard et al., arXiv:1604.01946): at wave
+w, layer l runs step w - l, so n layers over L steps take L + n - 1 waves
+instead of n·L layer-steps. Each wave is one matmul of a block gate matrix,
+built from every layer's ``w`` and ``b`` on each call, by the column [h of
+every layer; x; 1], then one sigmoid over the i, f, o rows and one tanh over
+the g rows of the layers live at that wave, and the c and h updates on
+those rows. Streams are time-major with the batch last, so every gate block
+is a contiguous run of rows. Gradients come from full BPTT, not truncation:
+the training pass stacks the columns, c, the gate activations and tanh(c)
+per wave; the reverse loop forms every layer's gate deltas at once, and one
+matmul by the block's transposed h columns gives every layer's dh. Each
+layer's weight and bias gradients are then one contraction over its own
+live waves. The forward-only pass keeps no cache and updates one column
+buffer in place.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,51 +146,81 @@ def lstm_init(
     return LstmNetwork(layers, head, head_activation)
 
 
-def _run_layer(layer: LstmLayer, seq: np.ndarray, keep_cache: bool):
-    """Run a (steps, in_dim, batch) stream through one layer.
+class _Waves(NamedTuple):
+    """The stack's gates as one block, laid out for a wavefront run.
 
-    Returns the (steps, hidden, batch) hidden stream and, with keep_cache, the
-    stacked BPTT cache (hx, c_prev, gates, tanh_c); without it every step
-    reuses slot 0 of one-step buffers.
+    The column at each wave is [h_{n-1}; ...; h_1; h_0; x; 1], so layer l
+    reads one contiguous span [h_l; h_{l-1}] (or [h_0; x]) in the column
+    order of its own ``w``, and the last column of ``block`` is the bias.
+    ``block`` is gate-major: four runs of S rows (S the summed hidden sizes),
+    i, f, o then g, each ordered like the h part of the column. Layer l owns
+    rows pos[l]:pos[l] + hidden of every run, and its ``w`` fills those rows
+    from column pos[l] on; every other entry is zero. At wave w layer l runs
+    step w - l, and the layers live at that wave own one contiguous row
+    range, ``live[w]``, of every run.
     """
-    steps, _, batch = seq.shape
-    hid = layer.hidden
-    slots = steps if keep_cache else 1
-    hx = np.empty((slots, hid + layer.in_dim, batch))
-    c_prev = np.empty((slots, hid, batch))
-    gates = np.empty((slots, 4 * hid, batch))
-    tanh_c = np.empty((slots, hid, batch))
-    hs = np.empty((steps, hid, batch))
-    bias = layer.b[:, None]
-    h = np.zeros((hid, batch))
-    c = np.zeros((hid, batch))
-    for t in range(steps):
-        k = t if keep_cache else 0
-        col, z = hx[k], gates[k]
-        col[:hid] = h
-        col[hid:] = seq[t]
-        c_prev[k] = c
-        np.matmul(layer.w, col, out=z)
-        z += bias
-        z[: 3 * hid] = sigmoid(z[: 3 * hid])
-        np.tanh(z[3 * hid :], out=z[3 * hid :])
-        i, f, o, g = z[:hid], z[hid : 2 * hid], z[2 * hid : 3 * hid], z[3 * hid :]
-        c *= f  # c_prev[k] holds the old value
+
+    block: np.ndarray  # (4S, S + in_dim + 1)
+    pos: list[int]  # first row of each layer in a run; layer 0 is last
+    live: list[tuple[int, int]]  # (first, stop) row of the live layers, per wave
+
+
+def _waves(layers: list[LstmLayer], steps: int) -> _Waves:
+    """Build the block from each layer's ``w`` and ``b`` as they are now."""
+    total = sum(l.hidden for l in layers)
+    block = np.zeros((4, total, total + layers[0].in_dim + 1))
+    pos, r = [], total
+    for layer in layers:
+        r -= layer.hidden
+        pos.append(r)
+        block[:, r : r + layer.hidden, r : r + layer.hidden + layer.in_dim] = (
+            layer.w.reshape(4, layer.hidden, -1))
+        block[:, r : r + layer.hidden, -1] = layer.b.reshape(4, -1)
+    top = len(layers) - 1
+    live = []
+    for w in range(steps + top):
+        lo = max(0, w - steps + 1)
+        live.append((pos[min(w, top)], pos[lo] + layers[lo].hidden))
+    return _Waves(block.reshape(4 * total, -1), pos, live)
+
+
+def _run_waves(net: LstmNetwork, x: np.ndarray, keep_cache: bool):
+    """Push a (B, L, in_dim) batch through the stack, every layer per wave.
+
+    Returns the top layer's final (hidden, B) state and, with keep_cache, the
+    waves and their stacked BPTT cache (columns, c, gates, tanh_c): slot w
+    holds wave w's input column and c, and its new h and c go to slot w + 1.
+    Without the cache one slot is updated in place. Only a wave's live rows
+    are activated and written: layers not yet started keep h = c = 0, and a
+    finished layer's last h is read once more, by the layer above.
+    """
+    batch, steps, _ = x.shape
+    waves = _waves(net.layers, steps)
+    total = len(waves.block) // 4
+    slots = len(waves.live) if keep_cache else 1
+    nxt = 1 if keep_cache else 0
+    cols = np.zeros((slots + nxt, waves.block.shape[1], batch))
+    cols[:, -1] = 1.0
+    cs = np.zeros((slots + nxt, total, batch))
+    gates = np.empty((slots, 4, total, batch))
+    tanh_c = np.empty((slots, total, batch))
+    xs = x.transpose(1, 2, 0)
+    for w, (a, b) in enumerate(waves.live):
+        k = w if keep_cache else 0
+        if w < steps:
+            cols[k, total:-1] = xs[w]
+        z = gates[k]
+        np.matmul(waves.block, cols[k], out=z.reshape(4 * total, batch))
+        ifo, g = z[:3, a:b], z[3, a:b]
+        sigmoid(ifo, out=ifo)
+        np.tanh(g, out=g)
+        i, f, o = ifo
+        c = np.multiply(f, cs[k, a:b], out=cs[k + nxt, a:b])
         c += i * g
-        np.tanh(c, out=tanh_c[k])
-        h = np.multiply(o, tanh_c[k], out=hs[t])
-    return hs, ((hx, c_prev, gates, tanh_c) if keep_cache else None)
-
-
-def _run_layers(net: LstmNetwork, x: np.ndarray, keep_cache: bool):
-    """Push a (B, L, in_dim) batch through the stack; return the top stream
-    (L, hidden, B) and the per-layer caches."""
-    seq = x.transpose(1, 2, 0)
-    caches = []
-    for layer in net.layers:
-        seq, cache = _run_layer(layer, seq, keep_cache)
-        caches.append(cache)
-    return seq, caches
+        tc = np.tanh(c, out=tanh_c[k, a:b])
+        np.multiply(o, tc, out=cols[k + nxt, a:b])
+    top = cols[-1, : net.layers[-1].hidden]
+    return top, ((waves, cols, cs, gates, tanh_c) if keep_cache else None)
 
 
 def _check_batch(net: LstmNetwork, x: np.ndarray) -> np.ndarray:
@@ -201,35 +239,50 @@ def _check_batch(net: LstmNetwork, x: np.ndarray) -> np.ndarray:
 def lstm_forward_batch(net: LstmNetwork, inputs) -> np.ndarray:
     """Scalar prediction per sequence in a (B, L, F) batch."""
     x = _check_batch(net, np.asarray(inputs, dtype=np.float64))
-    top, _ = _run_layers(net, x, keep_cache=False)
-    pre = net.head @ top[-1]
+    top, _ = _run_waves(net, x, keep_cache=False)
+    pre = net.head @ top
     return np.tanh(pre) if net.head_activation == "tanh" else pre
 
 
-def _layer_backward(layer: LstmLayer, cache, dh_seq: np.ndarray):
-    """BPTT through one layer given the gradient of its (L, hidden, B) output
-    stream; returns (dW, db, gradient of its (L, in_dim, B) input stream)."""
-    hx, c_prev, gates, tanh_c = cache
-    steps, _, batch = hx.shape
-    hid = layer.hidden
-    w_h = np.ascontiguousarray(layer.w[:, :hid].T)
-    dz = np.empty_like(gates)
-    dh = np.zeros((hid, batch))
-    dc = np.zeros((hid, batch))
-    for t in reversed(range(steps)):
-        z, tc, d = gates[t], tanh_c[t], dz[t]
-        i, f, o, g = z[:hid], z[hid : 2 * hid], z[2 * hid : 3 * hid], z[3 * hid :]
-        dh += dh_seq[t]
-        dc += dh * o * (1.0 - tc**2)
-        d[:hid] = dc * g * i * (1.0 - i)
-        d[hid : 2 * hid] = dc * c_prev[t] * f * (1.0 - f)
-        d[2 * hid : 3 * hid] = dh * tc * o * (1.0 - o)
-        d[3 * hid :] = dc * i * (1.0 - g**2)
-        dh = w_h @ d
-        dc *= f
-    d_w = np.tensordot(dz, hx, axes=([0, 2], [0, 2]))
-    d_b = dz.sum(axis=(0, 2))
-    return d_w, d_b, np.matmul(layer.w[:, hid:].T, dz)
+def _backward_waves(layers: list[LstmLayer], cache, dh_top: np.ndarray):
+    """BPTT through every layer at once, wave by wave in reverse, given the
+    gradient of the top layer's final state; returns each layer's (dW, db).
+
+    Dead rows of the gate deltas stay zero, so one matmul by the block's
+    transposed h columns gives every layer's dh: its own recurrent term plus
+    the input term from the layer above. The bottom layer's input gradient
+    is never formed.
+    """
+    waves, cols, cs, gates, tanh_c = cache
+    slots, _, total, batch = gates.shape
+    steps = slots - len(layers) + 1
+    w_h = np.ascontiguousarray(waves.block[:, :total].T)
+    dz = np.zeros_like(gates)
+    dh = np.zeros((total, batch))
+    dc = np.zeros((total, batch))
+    dh[: len(dh_top)] = dh_top
+    for w in reversed(range(slots)):
+        a, b = waves.live[w]
+        ifo, g = gates[w, :3, a:b], gates[w, 3, a:b]
+        i, f, o = ifo
+        tc, d = tanh_c[w, a:b], dz[w, :, a:b]
+        dhl, dcl = dh[a:b], dc[a:b]
+        dcl += dhl * o * (1.0 - tc**2)
+        np.multiply(ifo, 1.0 - ifo, out=d[:3])  # sigmoid' of i, f, o
+        d[0] *= dcl * g
+        d[1] *= dcl * cs[w, a:b]
+        d[2] *= dhl * tc
+        np.multiply(dcl * i, 1.0 - g**2, out=d[3])
+        np.matmul(w_h, dz[w].reshape(4 * total, batch), out=dh)
+        dcl *= f
+    grads = []
+    for l, (layer, r) in enumerate(zip(layers, waves.pos)):
+        # layer l's live waves l .. l + steps - 1: rows i, f, o, g; columns (wave, batch)
+        d = dz[l : l + steps, :, r : r + layer.hidden].transpose(1, 2, 0, 3)
+        d = d.reshape(4 * layer.hidden, -1)
+        col = cols[l : l + steps, r : r + layer.hidden + layer.in_dim].transpose(1, 0, 2)
+        grads.append((d @ col.reshape(len(col), -1).T, d.sum(axis=1)))
+    return grads
 
 
 def lstm_loss_and_grad(net: LstmNetwork, inputs, targets):
@@ -239,8 +292,7 @@ def lstm_loss_and_grad(net: LstmNetwork, inputs, targets):
     if y.shape != (x.shape[0],):
         raise ValueError(f"targets must have shape ({x.shape[0]},), got {y.shape}")
 
-    top, caches = _run_layers(net, x, keep_cache=True)
-    h_last = top[-1]
+    h_last, cache = _run_waves(net, x, keep_cache=True)
     pre = net.head @ h_last
     pred = np.tanh(pre) if net.head_activation == "tanh" else pre
 
@@ -250,14 +302,9 @@ def lstm_loss_and_grad(net: LstmNetwork, inputs, targets):
     if net.head_activation == "tanh":
         dpre = dpre * (1.0 - pred**2)
 
-    # Gradient w.r.t. the current layer's hidden-state stream; for the top
-    # layer only the final step is read (by the head).
-    dh_seq = np.zeros_like(top)
-    dh_seq[-1] = net.head[:, None] * dpre[None, :]
-    flat = [h_last @ dpre]
-    for layer, cache in zip(reversed(net.layers), reversed(caches)):
-        d_w, d_b, dh_seq = _layer_backward(layer, cache, dh_seq)
-        flat[:0] = [d_w.ravel(), d_b]
+    grads = _backward_waves(net.layers, cache, net.head[:, None] * dpre[None, :])
+    flat = [a.ravel() for pair in grads for a in pair]
+    flat.append(h_last @ dpre)
     return loss, np.concatenate(flat)
 
 

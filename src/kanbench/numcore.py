@@ -15,13 +15,14 @@ def make_rng(seed: int) -> Rng:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Logistic 1 / (1 + exp(-x)), computed as 0.5 * (1 + tanh(x / 2)).
 
     tanh cannot overflow, so finite input never produces NaN, and the result
-    saturates to exactly 0 and 1 for large |x|.
+    saturates to exactly 0 and 1 for large |x|. With ``out`` (which may be
+    ``x`` itself) the result is written there and returned.
     """
-    s = np.tanh(0.5 * np.asarray(x, dtype=np.float64))
+    s = np.tanh(np.multiply(0.5, np.asarray(x, dtype=np.float64), out=out), out=out)
     s += 1.0
     s *= 0.5
     return s

@@ -5,6 +5,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +299,26 @@ class TestRunExperiment:
         a = result_canonical_json(run_experiment(cfg))
         b = result_canonical_json(run_experiment(cfg))
         assert a == b
+
+    def test_lstm_canonical_json_independent_of_blas_threads(self):
+        # the thread count must be set before numpy loads, so each run is a
+        # fresh interpreter; two layers put the wavefront's block matmuls in play
+        cfg = dataclasses.replace(tiny_config("lstm"), lstm=LstmParams(layers=2, units=4))
+        script = ("import json, sys\n"
+                  "from kanbench.bench import config_from_dict as load, run_experiment as run\n"
+                  "from kanbench.bench import result_canonical_json as canonical\n"
+                  "print(canonical(run(load(json.loads(sys.argv[1])))))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run([sys.executable, "-c", script, json.dumps(config_to_dict(cfg))],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert json.loads(outs[0])["failure"] is None
+        assert outs[0] == outs[1]
 
     def test_canonical_json_excludes_wall_clock(self):
         result = run_experiment(tiny_config("kan"))

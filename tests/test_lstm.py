@@ -1,9 +1,10 @@
-"""LSTM: gate-equation oracles, BPTT gradient checks, serialization.
+"""LSTM: gate-equation oracles, BPTT gradient checks, the wavefront
+schedule, serialization.
 
 The per-gate reference below is the LSTM as first written: four separate
-(hidden, hidden + in) gate matrices, a list of per-step caches and BPTT that
-accumulates each gate's gradient step by step. The fused kernel in
-kanbench.lstm must agree with it.
+(hidden, hidden + in) gate matrices, layer after layer, a list of per-step
+caches and BPTT that accumulates each gate's gradient step by step. The
+wavefront kernel in kanbench.lstm must agree with it.
 """
 
 import json
@@ -12,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from kanbench import lstm
 from kanbench.lstm import (
     LstmLayer,
     LstmNetwork,
@@ -21,7 +23,7 @@ from kanbench.lstm import (
     lstm_loss_and_grad,
     to_json_dict,
 )
-from kanbench.numcore import make_rng
+from kanbench.numcore import make_rng, sigmoid
 
 
 def small_net(input_dim=3, hidden=5, layers=2, seed=0, head="linear"):
@@ -276,14 +278,23 @@ class TestForwardOracle:
                 net.batch_loss_and_grad(bad, np.zeros(2))
 
 
+# (layers, head, batch, steps): windows of 1 and 2 steps are shorter than a
+# 3-layer stack, so every wave is a ramp wave with some layer idle.
+ORACLE_CASES = [
+    *(pytest.param(layers, head, 7, 9, id=f"{head}-{layers}")
+      for head in ("linear", "tanh") for layers in (1, 2, 3)),
+    *(pytest.param(3, head, batch, steps, id=f"{head}-3-B{batch}-L{steps}")
+      for head in ("linear", "tanh") for batch, steps in ((7, 1), (7, 2), (1, 9), (1, 2))),
+]
+
+
 class TestPerGateOracle:
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("head", ["linear", "tanh"])
-    def test_forward_and_gradient_match(self, layers, head):
+    @pytest.mark.parametrize("layers,head,batch,steps", ORACLE_CASES)
+    def test_forward_and_gradient_match(self, layers, head, batch, steps):
         net = small_net(input_dim=3, hidden=6, layers=layers, seed=20 + layers, head=head)
         rng = make_rng(40 + layers)
-        x = rng.normal(size=(7, 9, 3))
-        y = rng.normal(size=7)
+        x = rng.normal(size=(batch, steps, 3))
+        y = rng.normal(size=batch)
         ref = per_gate(net)
         assert_close(lstm_forward_batch(net, x), ref_forward(ref, net.head, head, x))
         loss, grad = lstm_loss_and_grad(net, x, y)
@@ -291,14 +302,70 @@ class TestPerGateOracle:
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         assert_close(grad, ref_grad)
 
+    def test_unequal_layer_widths_match(self):
+        # each layer owns its own rows of the block, whatever its width
+        rng = make_rng(47)
+        layers, in_dim = [], 3
+        for hidden in (5, 2, 4):
+            limit = np.sqrt(6.0 / (2 * hidden + in_dim))
+            layers.append(LstmLayer(in_dim, hidden,
+                                    rng.uniform(-limit, limit, size=(4 * hidden, hidden + in_dim)),
+                                    rng.normal(scale=0.3, size=4 * hidden)))
+            in_dim = hidden
+        net = LstmNetwork(layers, head=rng.normal(size=in_dim), head_activation="tanh")
+        x = rng.normal(size=(6, 5, 3))
+        y = rng.normal(size=6)
+        ref = per_gate(net)
+        assert_close(lstm_forward_batch(net, x), ref_forward(ref, net.head, "tanh", x))
+        loss, grad = lstm_loss_and_grad(net, x, y)
+        ref_loss, ref_grad = ref_loss_and_grad(ref, net.head, "tanh", x, y)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert_close(grad, ref_grad)
+
+
+class TestWavefront:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_one_sigmoid_call_per_wave(self, monkeypatch, layers, steps):
+        # a stack of n layers over L steps runs in L + n - 1 waves, each with
+        # one sigmoid over the i, f, o rows of the layers live at that wave
+        sizes = []
+
+        def counted(x, **kwargs):
+            sizes.append(np.size(x))
+            return sigmoid(x, **kwargs)
+
+        monkeypatch.setattr(lstm, "sigmoid", counted)
+        hidden, batch = 4, 3
+        net = small_net(input_dim=2, hidden=hidden, layers=layers, seed=layers)
+        rng = make_rng(steps)
+        x = rng.normal(size=(batch, steps, 2))
+        lstm_forward_batch(net, x)
+        assert len(sizes) == steps + layers - 1
+        assert sum(sizes) == 3 * hidden * batch * layers * steps
+        sizes.clear()
+        lstm_loss_and_grad(net, x, rng.normal(size=batch))
+        assert len(sizes) == steps + layers - 1
+        assert sum(sizes) == 3 * hidden * batch * layers * steps
+
+
+FD_CASES = [
+    *(pytest.param(layers, head, 3, 6, id=f"{layers}-{head}")
+      for layers in (1, 2) for head in ("linear", "tanh")),
+    pytest.param(3, "linear", 3, 1, id="3-linear-B3-L1"),
+    pytest.param(3, "tanh", 3, 2, id="3-tanh-B3-L2"),
+    pytest.param(3, "linear", 1, 2, id="3-linear-B1-L2"),
+    pytest.param(2, "tanh", 1, 6, id="2-tanh-B1-L6"),
+]
+
 
 class TestGradients:
-    @pytest.mark.parametrize("layers,head", [(1, "linear"), (1, "tanh"), (2, "linear"), (2, "tanh")])
-    def test_matches_central_difference(self, layers, head):
+    @pytest.mark.parametrize("layers,head,batch,steps", FD_CASES)
+    def test_matches_central_difference(self, layers, head, batch, steps):
         net = small_net(input_dim=2, hidden=4, layers=layers, seed=layers, head=head)
         rng = make_rng(23)
-        x = rng.normal(size=(3, 6, 2))
-        y = rng.normal(size=3)
+        x = rng.normal(size=(batch, steps, 2))
+        y = rng.normal(size=batch)
         _, g = lstm_loss_and_grad(net, x, y)
         flat = net.pack()
         h = 1e-5

@@ -52,6 +52,14 @@ class TestSigmoid:
     def test_saturates_exactly(self):
         assert np.array_equal(sigmoid(np.array([-1000.0, 1000.0])), [0.0, 1.0])
 
+    def test_out_is_written_in_place_bit_for_bit(self):
+        # the LSTM activates a strided view of its gate block in place
+        z = make_rng(5).normal(scale=4.0, size=(4, 6, 3))
+        want = sigmoid(z[:3, 1:4].copy())
+        view = z[:3, 1:4]
+        assert sigmoid(view, out=view) is view
+        assert np.array_equal(z[:3, 1:4], want)
+
     @given(st.lists(finite_floats, min_size=1, max_size=20))
     def test_symmetry(self, xs):
         x = np.array(xs)
