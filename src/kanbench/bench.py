@@ -1,7 +1,8 @@
 """Config-driven benchmark runner and report emitter.
 
-An experiment is one (model, data, training) triple described by a validated
-config (unknown keys rejected). Running it executes the full pipeline:
+An experiment is one (model, data, training) triple described by a config
+that is checked whole whenever it is built, so a bad value raises a ValueError
+naming its field before anything runs. Running it executes the full pipeline:
 generate/load data, scale on training rows only, window, split
 chronologically, train a one-step model, evaluate on the test split, then
 walk anchored iterative forecasts across the test segment at each configured
@@ -35,12 +36,13 @@ from .data import (
     make_regime,
     make_windows,
     scaler_fit,
+    split_point,
 )
 from .forecast import iterative_forecast_batch
 from .kan import kan_init
 from .lstm import HEAD_ACTIVATIONS, lstm_init
 from .metrics import rmse
-from .numcore import make_rng
+from .numcore import check_int, make_rng
 from .optim import TrainConfig, TrainingDiverged, train
 
 # Cap on total predicted steps (anchors × horizon) per horizon evaluation;
@@ -61,8 +63,8 @@ class LstmParams:
     head_activation: str = "linear"
 
     def __post_init__(self):
-        if self.layers < 1 or self.units < 1:
-            raise ValueError("layers and units must be >= 1")
+        check_int(self.layers, "layers")
+        check_int(self.units, "units")
         if self.head_activation not in HEAD_ACTIVATIONS:
             raise ValueError(f"unknown head activation {self.head_activation!r}")
 
@@ -74,8 +76,7 @@ class KanParams:
     hidden: int = 8  # width of the single hidden layer; 0 = direct [in, 1]
 
     def __post_init__(self):
-        if self.hidden < 0:
-            raise ValueError("hidden must be >= 0")
+        check_int(self.hidden, "hidden", 0)
         SplineSpec(self.grid_size, self.degree)  # raises on a bad grid size or degree
 
 
@@ -97,10 +98,17 @@ class DataConfig:
             raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
         if self.source == "csv" and not self.csv_path:
             raise ValueError("csv source requires csv_path")
+        check_int(self.days, "days", 2 if self.source == "synthetic" else 1)
+        check_int(self.data_seed, "data_seed", 0)
+        if self.source == "synthetic":
+            # a CSV's length is known only once the file is read
+            make_regime(self.regime, self.days, self.data_seed, self.drift, self.volatility)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; construction (and ``dataclasses.replace``) checks it whole."""
+
     model: str  # "kan" | "lstm"
     name: str = ""
     lstm: LstmParams | None = None
@@ -121,7 +129,34 @@ class ExperimentConfig:
                 "train",
                 TrainConfig(optimizer="lbfgs" if self.model == "kan" else "adam"),
             )
-        object.__setattr__(self, "horizons", tuple(int(h) for h in self.horizons))
+        horizons = self.horizons if isinstance(self.horizons, (list, tuple)) else ()
+        horizons = [int(h) if isinstance(h, float) and h.is_integer() else h for h in horizons]
+        if not horizons or any(
+            isinstance(h, bool) or not isinstance(h, int) or h < 1 for h in horizons
+        ):
+            raise ValueError(f"horizons must be nonempty positive ints, got {self.horizons}")
+        object.__setattr__(self, "horizons", tuple(horizons))
+        check_int(self.lookback, "lookback")
+        check_int(self.seed, "seed", 0)
+        if not 0.0 < self.train_frac < 1.0:
+            raise ValueError(f"train_frac must be in (0, 1), got {self.train_frac}")
+        other = "kan" if self.model == "lstm" else "lstm"
+        if getattr(self, other) is not None and getattr(self, self.model) is None:
+            raise ValueError(f"model is {self.model} but only {other} params were given")
+        if self.data.source == "synthetic":
+            h_max = max(self.horizons)
+            if self.data.days < self.lookback + h_max + 10:
+                raise ValueError(
+                    f"days={self.data.days} too short: need >= lookback + max horizon + 10 "
+                    f"= {self.lookback + h_max + 10}"
+                )
+            n_samples = self.data.days - self.lookback
+            n_test = n_samples - split_point(n_samples, self.train_frac)
+            if n_test < h_max:
+                raise ValueError(
+                    f"test segment of {n_test} samples cannot anchor horizon {h_max}; "
+                    f"increase days or lower train_frac"
+                )
 
     @property
     def label(self) -> str:
@@ -132,6 +167,9 @@ class ExperimentConfig:
             return f"lstm-{p.layers}x{p.units}-{p.head_activation}"
         p = self.kan or KanParams()
         return f"kan-g{p.grid_size}k{p.degree}h{p.hidden}"
+
+
+_SECTIONS = {"lstm": LstmParams, "kan": KanParams, "data": DataConfig, "train": TrainConfig}
 
 
 def _strict_build(cls, d, ctx: str):
@@ -145,59 +183,23 @@ def _strict_build(cls, d, ctx: str):
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON, rejecting unknown keys at every level."""
+    """Build a config from parsed JSON (a null section is its default), rejecting
+    unknown keys at every level."""
     if not isinstance(d, dict):
         raise ValueError("experiment config must be a JSON object")
     d = dict(d)
-    nested = {}
-    if d.get("lstm") is not None:
-        nested["lstm"] = _strict_build(LstmParams, d.pop("lstm"), "lstm")
-    if d.get("kan") is not None:
-        nested["kan"] = _strict_build(KanParams, d.pop("kan"), "kan")
-    if d.get("data") is not None:
-        nested["data"] = _strict_build(DataConfig, d.pop("data"), "data")
-    if d.get("train") is not None:
-        nested["train"] = _strict_build(TrainConfig, d.pop("train"), "train")
-    for key in ("lstm", "kan", "data", "train"):
-        d.pop(key, None)  # explicit nulls
-    cfg = _strict_build(ExperimentConfig, d, "experiment")
-    cfg = dataclasses.replace(cfg, **nested)
-    validate_config(cfg)
-    return cfg
+    for key, cls in _SECTIONS.items():
+        if d.get(key) is None:
+            d.pop(key, None)
+        else:
+            d[key] = _strict_build(cls, d[key], key)
+    return _strict_build(ExperimentConfig, d, "experiment")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     d = dataclasses.asdict(config)
     d["horizons"] = list(config.horizons)
     return d
-
-
-def validate_config(config: ExperimentConfig) -> None:
-    """Reject infeasible configs before any computation."""
-    if config.lookback < 1:
-        raise ValueError("lookback must be >= 1")
-    if not 0.0 < config.train_frac < 1.0:
-        raise ValueError(f"train_frac must be in (0, 1), got {config.train_frac}")
-    if not config.horizons or any(h < 1 for h in config.horizons):
-        raise ValueError(f"horizons must be nonempty positive ints, got {config.horizons}")
-    if config.model == "lstm" and config.kan is not None and config.lstm is None:
-        raise ValueError("model is lstm but only kan params were given")
-    if config.model == "kan" and config.lstm is not None and config.kan is None:
-        raise ValueError("model is kan but only lstm params were given")
-    if config.data.source == "synthetic":
-        h_max = max(config.horizons)
-        if config.data.days < config.lookback + h_max + 10:
-            raise ValueError(
-                f"days={config.data.days} too short: need >= lookback + max horizon + 10 "
-                f"= {config.lookback + h_max + 10}"
-            )
-        n_samples = config.data.days - config.lookback
-        n_test = n_samples - math.floor(config.train_frac * n_samples)
-        if n_test < h_max:
-            raise ValueError(
-                f"test segment of {n_test} samples cannot anchor horizon {h_max}; "
-                f"increase days or lower train_frac"
-            )
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +242,7 @@ def prepare(config: ExperimentConfig) -> PreparedData:
         raise ValueError(
             f"series of {raw.shape[0]} rows too short for lookback {lookback}"
         )
-    n_train = math.floor(config.train_frac * n_samples)
+    n_train = split_point(n_samples, config.train_frac)
     scaler = scaler_fit(raw[: n_train + lookback])
     scaled = scaler.transform(raw)
     windows = make_windows(scaled, lookback, 1, target_col)
@@ -352,7 +354,6 @@ def _failure_result(config: ExperimentConfig, message: str) -> ExperimentResult:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Full pipeline for one config; training failures become failure records."""
-    validate_config(config)
     prepared = prepare(config)
     try:
         model, report, test_rmse = fit(config, prepared)
@@ -381,8 +382,6 @@ def run_matrix(configs, parallelism: int = 1):
         raise ValueError("no experiments in matrix")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    for c in configs:
-        validate_config(c)
 
     def safe(config):
         try:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numcore import check_int
+
 
 @dataclass(frozen=True)
 class SplineSpec:
@@ -31,14 +33,8 @@ class SplineSpec:
 
     def __post_init__(self):
         # both sizes index knots and basis columns, so only a true int will do
-        for name in ("grid_size", "degree"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.grid_size < 1:
-            raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        check_int(self.grid_size, "grid_size")
+        check_int(self.degree, "degree")
         for name in ("domain_lo", "domain_hi"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):

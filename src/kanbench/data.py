@@ -210,12 +210,17 @@ def make_windows(scaled, lookback: int, horizon: int, target_col: int = CLOSE) -
     return WindowedDataset(inputs, targets, lookback, horizon)
 
 
+def split_point(n: int, train_frac: float) -> int:
+    """Training samples of a chronological split of n: the first floor(frac·n)."""
+    return math.floor(train_frac * n)
+
+
 def chrono_split(dataset: WindowedDataset, train_frac: float):
-    """First floor(frac·n) samples are train, the rest test; never shuffled."""
+    """First split_point(n, frac) samples are train, the rest test; never shuffled."""
     if not 0.0 < train_frac < 1.0:
         raise ValueError(f"train_frac must be in (0, 1), got {train_frac}")
     n = len(dataset)
-    n_train = math.floor(train_frac * n)
+    n_train = split_point(n, train_frac)
     if n_train == 0 or n_train == n:
         raise ValueError(f"split of {n} samples at {train_frac} leaves an empty side")
     mk = lambda lo, hi: WindowedDataset(

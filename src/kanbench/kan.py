@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bspline import SplineSpec, basis_grad_matrix, basis_matrix
-from .numcore import Rng, checkpoint_array, checkpoint_field, sigmoid, silu, silu_grad
+from .numcore import Rng, check_int, checkpoint_array, checkpoint_field, sigmoid, silu, silu_grad
 
 
 @dataclass
@@ -247,10 +247,10 @@ def from_json_dict(d: dict) -> KanNetwork:
     spec = SplineSpec(*(checkpoint_field(spec_d, key, f"{where} spec")
                         for key in ("grid_size", "degree", "domain_lo", "domain_hi")))
     dims = checkpoint_field(d, "dims", where)
-    if not isinstance(dims, list) or len(dims) < 2 or any(
-        isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in dims
-    ):
+    if not isinstance(dims, list) or len(dims) < 2:
         raise ValueError(f"{where} field 'dims' must list >= 2 positive ints, got {dims!r}")
+    for n in dims:
+        check_int(n, f"{where} field 'dims' entry")
     entries = checkpoint_field(d, "layers", where)
     if not isinstance(entries, list) or len(entries) != len(dims) - 1:
         raise ValueError(f"{where} field 'layers' must list {len(dims) - 1} layers for dims {dims}")

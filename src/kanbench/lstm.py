@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numcore import Rng, checkpoint_array, checkpoint_field, checkpoint_int, sigmoid
+from .numcore import Rng, check_int, checkpoint_array, checkpoint_field, sigmoid
 
 HEAD_ACTIVATIONS = ("linear", "tanh")
 
@@ -324,12 +324,11 @@ def from_json_dict(d: dict) -> LstmNetwork:
     where = "lstm checkpoint"
     if checkpoint_field(d, "kind", where) != "lstm":
         raise ValueError(f"not an lstm checkpoint: kind={d.get('kind')!r}")
-    net = lstm_init(
-        checkpoint_int(d, "input_dim", where),
-        checkpoint_int(d, "hidden", where),
-        checkpoint_int(d, "n_layers", where),
-        np.random.default_rng(0),
-        checkpoint_field(d, "head_activation", where),
+    input_dim, hidden, n_layers = (
+        check_int(checkpoint_field(d, key, where), f"{where} field {key!r}")
+        for key in ("input_dim", "hidden", "n_layers")
     )
+    net = lstm_init(input_dim, hidden, n_layers, np.random.default_rng(0),
+                    checkpoint_field(d, "head_activation", where))
     net.unpack(checkpoint_array(d, "params", net.n_params, where))
     return net

@@ -1,5 +1,5 @@
 """Seeded randomness, the float64 activations shared by every module, and
-the field checks both model checkpoints load through.
+the int and field checks that configs and both model checkpoints load through.
 
 All randomness flows through PCG64 generators built by :func:`make_rng`, so a
 seed fully determines every stream on every platform numpy supports.
@@ -38,6 +38,16 @@ def silu_grad(x, s):
     return s * (1.0 + x * (1.0 - s))
 
 
+def check_int(value, name: str, least: int = 1) -> int:
+    """``value`` if it is an int >= ``least``, else a ValueError naming ``name``.
+
+    A bool or a float such as 3.0 is rejected: these values size arrays,
+    count steps or seed generators."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    return value
+
+
 def checkpoint_field(d, key: str, where: str):
     """``d[key]``, or a ValueError naming the field when ``d`` lacks it."""
     if not isinstance(d, dict):
@@ -45,14 +55,6 @@ def checkpoint_field(d, key: str, where: str):
     if key not in d:
         raise ValueError(f"{where} is missing field {key!r}")
     return d[key]
-
-
-def checkpoint_int(d, key: str, where: str) -> int:
-    """A positive int field (bools rejected)."""
-    value = checkpoint_field(d, key, where)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{where} field {key!r} must be a positive int, got {value!r}")
-    return value
 
 
 def checkpoint_array(d, key: str, size: int, where: str) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numcore import make_rng
+from .numcore import check_int, make_rng
 
 
 # --------------------------------------------------------------------------
@@ -226,12 +226,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("adam", "lbfgs"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
-        if self.batch_size < 0:
-            raise ValueError("batch_size must be >= 0 (0 = full batch)")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name, least in (("max_epochs", 0), ("batch_size", 0), ("patience", 1),
+                            ("shuffle_seed", 0), ("lbfgs_memory", 1), ("max_ls_steps", 1)):
+            check_int(getattr(self, name), name, least)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kanbench import bench
 from kanbench.bench import (
     ANCHOR_BUDGET,
     CSV_REPORT_HEADER,
@@ -38,7 +39,6 @@ from kanbench.bench import (
     run_matrix,
     runtime_summary,
     save_results,
-    validate_config,
 )
 from kanbench.data import CLOSE, gen_synthetic, make_regime, scaler_fit
 from kanbench.numcore import make_rng
@@ -114,32 +114,69 @@ class TestConfigPlumbing:
 
 class TestValidation:
     def test_days_too_short_for_horizon(self):
-        cfg = dataclasses.replace(tiny_config(), horizons=(100,))
         with pytest.raises(ValueError, match="too short"):
-            validate_config(cfg)
+            dataclasses.replace(tiny_config(), horizons=(100,))
 
     def test_test_segment_cannot_anchor_horizon(self):
         # 80 days, L=8: 72 samples, 14 test samples < horizon 20
-        cfg = dataclasses.replace(tiny_config(), horizons=(20,))
         with pytest.raises(ValueError, match="anchor"):
-            validate_config(cfg)
+            dataclasses.replace(tiny_config(), horizons=(20,))
 
     def test_bad_horizons(self):
         with pytest.raises(ValueError, match="horizons"):
-            validate_config(dataclasses.replace(tiny_config(), horizons=(0,)))
+            dataclasses.replace(tiny_config(), horizons=(0,))
         with pytest.raises(ValueError, match="horizons"):
-            validate_config(dataclasses.replace(tiny_config(), horizons=()))
+            dataclasses.replace(tiny_config(), horizons=())
 
     def test_bad_train_frac(self):
         with pytest.raises(ValueError, match="train_frac"):
-            validate_config(dataclasses.replace(tiny_config(), train_frac=1.0))
+            dataclasses.replace(tiny_config(), train_frac=1.0)
 
     def test_model_params_mismatch(self):
         with pytest.raises(ValueError, match="lstm"):
-            validate_config(
-                ExperimentConfig(model="lstm", kan=KanParams(),
-                                 data=DataConfig(days=80), lookback=8)
-            )
+            ExperimentConfig(model="lstm", kan=KanParams(),
+                             data=DataConfig(days=80), lookback=8)
+        with pytest.raises(ValueError, match="model is kan but only lstm"):
+            ExperimentConfig(model="kan", lstm=LstmParams(),
+                             data=DataConfig(days=80), lookback=8)
+
+    @pytest.mark.parametrize("payload,field", [
+        ({"lookback": 5.5}, "lookback"),
+        ({"lstm": {"units": 2.5}}, "units"),
+        ({"lstm": {"layers": 1.5}}, "layers"),
+        ({"kan": {"hidden": 1.5}}, "hidden"),
+        ({"data": {"days": 300.5}}, "days"),
+        ({"data": {"source": "csv", "csv_path": "prices.csv", "days": 0}}, "days"),
+        ({"data": {"data_seed": -1}}, "data_seed"),
+        ({"data": {"regime": "volatle"}}, "regime"),
+        ({"data": {"volatility": -0.1}}, "volatility"),
+        ({"data": {"volatility": 0.0}}, "volatility"),
+        ({"train": {"max_epochs": 1.5}}, "max_epochs"),
+        ({"train": {"batch_size": 2.5}}, "batch_size"),
+        ({"train": {"patience": 2.5}}, "patience"),
+        ({"train": {"shuffle_seed": -1}}, "shuffle_seed"),
+        ({"train": {"lbfgs_memory": 0}}, "lbfgs_memory"),
+        ({"train": {"max_ls_steps": 0}}, "max_ls_steps"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"horizons": [1.5]}, "horizons"),
+        ({"horizons": [True]}, "horizons"),
+        ({"horizons": 5}, "horizons"),
+    ])
+    def test_bad_values_rejected_at_parse(self, payload, field, tmp_path):
+        model = "lstm" if "lstm" in payload else "kan"
+        bad = {"model": model, **payload}
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            config_from_dict(bad)
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps([{"model": model}, bad]))
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            load_matrix(path)
+
+    def test_null_sections_take_defaults(self):
+        cfg = config_from_dict({"model": "kan", "lstm": None, "kan": None, "data": None,
+                                "train": None})
+        assert cfg == config_from_dict({"model": "kan"})
 
     def test_unknown_model_and_sources(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -356,10 +393,16 @@ class TestRunMatrix:
         assert results[0].failure is None
         assert results[1].failure is not None
 
-    def test_invalid_matrix_rejected_upfront(self):
-        bad = dataclasses.replace(tiny_config(), horizons=(999,))
+    def test_invalid_matrix_rejected_upfront(self, tmp_path, monkeypatch):
+        def unreachable(config):
+            raise AssertionError("an experiment ran before the matrix was checked")
+
+        monkeypatch.setattr(bench, "run_experiment", unreachable)
+        bad = {**config_to_dict(tiny_config()), "horizons": [999]}
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps([config_to_dict(tiny_config()), bad]))
         with pytest.raises(ValueError, match="too short"):
-            run_matrix([tiny_config(), bad])
+            load_matrix(path)
         with pytest.raises(ValueError, match="no experiments"):
             run_matrix([])
 
@@ -378,7 +421,7 @@ def fake_result(model, regime, horizon_rmses, train_rmse=0.1, wall=1.0,
     cfg = ExperimentConfig(
         model=model, name=name,
         data=DataConfig(regime=regime, days=1250),
-        horizons=tuple(h for h, _ in horizon_rmses),
+        horizons=tuple(h for h, _ in horizon_rmses) or (1,),
     )
     return ExperimentResult(
         config=cfg,

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kanbench import bench
 from kanbench.bench import CSV_REPORT_HEADER
 from kanbench.cli import dispatch
 from kanbench.data import load_csv
@@ -224,6 +225,19 @@ class TestBenchmarkAndReport:
         path = self.matrix_path(tmp_path, [bad])
         assert dispatch(["benchmark", "--matrix", str(path),
                          "--out-dir", str(tmp_path / "out")]) == 2
+
+    def test_misspelt_regime_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        def unreachable(config):
+            raise AssertionError("an experiment ran before the matrix was checked")
+
+        monkeypatch.setattr(bench, "run_experiment", unreachable)
+        bad = tiny_experiment("kan")
+        bad["data"]["regime"] = "volatle"
+        path = self.matrix_path(tmp_path, [tiny_experiment("kan"), bad])
+        out_dir = tmp_path / "out"
+        assert dispatch(["benchmark", "--matrix", str(path), "--out-dir", str(out_dir)]) == 2
+        assert "unknown regime 'volatle'" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_empty_matrix_exits_2(self, tmp_path, capsys):
         path = tmp_path / "matrix.json"
