@@ -5,10 +5,13 @@ that is checked whole whenever it is built, so a bad value raises a ValueError
 naming its field before anything runs. Running it executes the full pipeline:
 generate/load data, scale on training rows only, window, split
 chronologically, train a one-step model, evaluate on the test split, then
-walk anchored iterative forecasts across the test segment at each configured
-horizon. A matrix run executes many experiments (optionally in parallel),
-joins LSTM-vs-KAN rows per (regime, horizon) cell into a ratio column, and
-renders CSV / markdown / gnuplot reports plus a mean-runtime comparison.
+walk anchored iterative forecasts across the test segment. Every configured
+horizon keeps its own anchors, and all of them are read from one shared
+batched rollout, which drops each anchor once it has reached the deepest
+horizon that uses it. A matrix run executes many experiments (optionally
+in parallel), joins LSTM-vs-KAN rows per (regime, horizon) cell into a
+ratio column, and renders CSV / markdown / gnuplot reports plus a
+mean-runtime comparison.
 
 All randomness flows from explicit seeds; rerunning a config yields a
 byte-identical canonical serialization (wall-clock fields excluded).
@@ -42,11 +45,13 @@ from .forecast import iterative_forecast_batch
 from .kan import kan_init
 from .lstm import HEAD_ACTIVATIONS, lstm_init
 from .metrics import rmse
-from .numcore import check_int, make_rng
+from .numcore import check_int, check_real, make_rng
 from .optim import TrainConfig, TrainingDiverged, train
 
-# Cap on total predicted steps (anchors × horizon) per horizon evaluation;
-# anchors are subsampled evenly when the test segment would exceed it.
+# Cap on anchors × horizon for each horizon's anchor set; the anchors are
+# thinned evenly when the test segment would exceed it. The shared rollout
+# covers the union of these sets, so an experiment predicts at most
+# ANCHOR_BUDGET steps per configured horizon.
 ANCHOR_BUDGET = 20000
 
 FEATURE_MODES = {"ohlcv": tuple(range(len(COLUMNS))), "close_only": (CLOSE,)}
@@ -138,8 +143,7 @@ class ExperimentConfig:
         object.__setattr__(self, "horizons", tuple(horizons))
         check_int(self.lookback, "lookback")
         check_int(self.seed, "seed", 0)
-        if not 0.0 < self.train_frac < 1.0:
-            raise ValueError(f"train_frac must be in (0, 1), got {self.train_frac}")
+        check_real(self.train_frac, "train_frac", above=0, below=1)
         other = "kan" if self.model == "lstm" else "lstm"
         if getattr(self, other) is not None and getattr(self, self.model) is None:
             raise ValueError(f"model is {self.model} but only {other} params were given")
@@ -302,41 +306,59 @@ def _artifact_version() -> str:
     return f"kanbench-{kanbench.__version__}"
 
 
-def _horizon_eval(model, prepared: PreparedData, horizon: int) -> HorizonSummary:
-    """Anchored walk-forward: iterative forecasts from test windows.
-
-    Anchors are window start rows j with the full horizon inside the series;
-    when anchors × horizon would exceed ANCHOR_BUDGET they are thinned evenly.
-    The summary RMSE compares only the final (H-step-ahead) prediction of
-    each anchor against truth, which is what a per-horizon table row means.
-    """
-    scaled = prepared.scaled
-    lookback = prepared.lookback
-    n_rows = scaled.shape[0]
+def _anchors(prepared: PreparedData, horizon: int) -> np.ndarray:
+    """Window start rows j of one horizon's walk-forward: every test row with
+    the full horizon inside the series, thinned evenly when anchors × horizon
+    would exceed ANCHOR_BUDGET."""
     first = prepared.n_train
-    last = n_rows - lookback - horizon  # inclusive
-    if last < first:
-        return HorizonSummary(horizon, 0, float("nan"), [], [])
+    last = prepared.scaled.shape[0] - prepared.lookback - horizon  # inclusive
     anchors = np.arange(first, last + 1)
     n_max = max(1, ANCHOR_BUDGET // horizon)
     if anchors.size > n_max:
         keep = np.unique(np.round(np.linspace(0, anchors.size - 1, n_max)).astype(int))
         anchors = anchors[keep]
+    return anchors
 
-    seed_windows = np.stack([scaled[j : j + lookback] for j in anchors])
-    preds = iterative_forecast_batch(
-        model, seed_windows, horizon, close_col=prepared.target_col
-    )
-    steps = np.arange(1, horizon + 1)
-    actual = scaled[(anchors[:, None] + lookback + steps[None, :] - 1), prepared.target_col]
-    final_rmse = rmse(actual[:, -1], preds[:, -1])
-    return HorizonSummary(
-        horizon,
-        int(anchors.size),
-        final_rmse,
-        [float(v) for v in preds[0]],
-        [float(v) for v in actual[0]],
-    )
+
+def _horizon_evals(model, prepared: PreparedData, horizons) -> list[HorizonSummary]:
+    """Anchored walk-forward at every horizon, from one shared rollout.
+
+    Each horizon keeps its own anchors (see ``_anchors``). An anchor's first
+    h predictions do not depend on how far it is rolled, so the union of the
+    anchor sets is rolled once: each anchor to the largest horizon that uses
+    it, the deepest first, and each horizon reads its anchors' predictions
+    at step h. A summary's RMSE compares only that final (H-step-ahead)
+    prediction of each anchor against truth, which is what a per-horizon
+    table row means; its sample trace is its first anchor's.
+    """
+    scaled, lookback, col = prepared.scaled, prepared.lookback, prepared.target_col
+    sets = [_anchors(prepared, h) for h in horizons]
+    anchors = np.concatenate(sets)
+    depths = np.concatenate([np.full(a.size, h) for h, a in zip(horizons, sets)])
+    order = np.lexsort((anchors, -depths))  # deepest first, then anchor order
+    _, first = np.unique(anchors[order], return_index=True)  # each anchor at its deepest
+    rows = order[np.sort(first)]
+    anchors, depths = anchors[rows], depths[rows]
+    if anchors.size:
+        seed_windows = np.stack([scaled[j : j + lookback] for j in anchors])
+        preds = iterative_forecast_batch(model, seed_windows, depths, close_col=col)
+    by_anchor = np.argsort(anchors)
+
+    summaries = []
+    for h, wanted in zip(horizons, sets):
+        if not wanted.size:
+            summaries.append(HorizonSummary(h, 0, float("nan"), [], []))
+            continue
+        at = by_anchor[np.searchsorted(anchors, wanted, sorter=by_anchor)]  # their rows
+        truth = scaled[wanted[0] + lookback : wanted[0] + lookback + h, col]
+        summaries.append(HorizonSummary(
+            h,
+            int(wanted.size),
+            rmse(scaled[wanted + lookback + h - 1, col], preds[at, h - 1]),
+            [float(v) for v in preds[at[0], :h]],
+            [float(v) for v in truth],
+        ))
+    return summaries
 
 
 def _failure_result(config: ExperimentConfig, message: str) -> ExperimentResult:
@@ -357,7 +379,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     prepared = prepare(config)
     try:
         model, report, test_rmse = fit(config, prepared)
-        horizons = [_horizon_eval(model, prepared, h) for h in config.horizons]
+        horizons = _horizon_evals(model, prepared, config.horizons)
     except (TrainingDiverged, RuntimeError, ValueError) as err:
         return _failure_result(config, str(err))
     return ExperimentResult(

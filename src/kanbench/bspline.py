@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import check_int
+from .numcore import check_finite, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,9 @@ class SplineSpec:
         # both sizes index knots and basis columns, so only a true int will do
         check_int(self.grid_size, "grid_size")
         check_int(self.degree, "degree")
-        for name in ("domain_lo", "domain_hi"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        ok = np.isfinite(self.domain_lo) and np.isfinite(self.domain_hi)
-        if not ok or not self.domain_lo < self.domain_hi:
+        check_real(self.domain_lo, "domain_lo")
+        check_real(self.domain_hi, "domain_hi")
+        if not self.domain_lo < self.domain_hi:
             raise ValueError(
                 f"domain must satisfy lo < hi, got [{self.domain_lo}, {self.domain_hi}]"
             )
@@ -59,11 +56,6 @@ class SplineSpec:
         return self.domain_lo + (np.arange(g + 2 * k + 1) - k) * self.step
 
 
-def _check_finite(x: np.ndarray) -> None:
-    if not np.isfinite(x).all():
-        raise ValueError("spline input must be finite")
-
-
 def _locate(spec: SplineSpec, x):
     """Clamp the points and find each one's grid interval and offset in it.
 
@@ -75,7 +67,7 @@ def _locate(spec: SplineSpec, x):
     put a knot in the interval that ends there.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    _check_finite(x)
+    check_finite("spline input", x)
     xc = np.clip(x, spec.domain_lo, spec.domain_hi)
     t = spec.knots()
     g, k = spec.grid_size, spec.degree

@@ -15,7 +15,7 @@ from datetime import date as _date, timedelta
 
 import numpy as np
 
-from .numcore import make_rng
+from .numcore import check_real, make_rng
 
 COLUMNS = ("open", "high", "low", "close", "adj_close", "volume")
 CSV_HEADER = "date,open,high,low,close,adj_close,volume"
@@ -251,8 +251,8 @@ class MarketRegime:
     def __post_init__(self):
         if self.kind not in REGIME_PRESETS:
             raise ValueError(f"unknown regime {self.kind!r}; known: {sorted(REGIME_PRESETS)}")
-        if self.volatility <= 0:
-            raise ValueError("volatility must be > 0")
+        check_real(self.drift, "drift")
+        check_real(self.volatility, "volatility", above=0)
         if self.length < 2:
             raise ValueError("length must be >= 2")
 

@@ -17,6 +17,13 @@ such as a domain fitted to the data, invalidates every encoding made
 before it. ``kan_forward_batch`` and ``kan_backward`` take the two encoded
 arrays; ``predict_window_batch`` and ``batch_loss_and_grad`` also take raw
 windows or (B, L·F) rows and encode them first.
+
+``encode`` rejects non-finite input, so it returns its pair as an
+``Encoded`` tuple, a trusted encoding: that pair, and any row selection or
+slice of it rebuilt as ``type(features)(...)`` (an Adam minibatch, a rollout
+tape view), is finite by construction and is not scanned again. Its shapes
+are still checked. A plain tuple built by hand is scanned for finiteness
+before any computation.
 """
 
 import math
@@ -25,7 +32,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bspline import SplineSpec, basis_grad_matrix, basis_matrix
-from .numcore import Rng, check_int, checkpoint_array, checkpoint_field, sigmoid, silu, silu_grad
+from .numcore import (
+    Encoded,
+    Rng,
+    check_finite,
+    check_int,
+    checkpoint_array,
+    checkpoint_field,
+    sigmoid,
+    silu,
+    silu_grad,
+)
 
 
 @dataclass
@@ -96,18 +113,20 @@ class KanNetwork:
             raise ValueError(f"inputs must be at least 2-D (batch, ...), got shape {x.shape}")
         spec = self.layers[0].spec
         phi = basis_matrix(spec, x.reshape(-1))  # rejects non-finite input first
-        return silu(x), phi.reshape(x.shape[:-1] + (x.shape[-1] * spec.n_basis,))
+        return Encoded((silu(x), phi.reshape(x.shape[:-1] + (x.shape[-1] * spec.n_basis,))))
 
     def batch_loss_and_grad(self, inputs, targets):
-        return kan_backward(self, *_features(self, inputs), targets)
+        features = _features(self, inputs)
+        return kan_backward(self, *features, targets, trusted=isinstance(features, Encoded))
 
     def predict_window_batch(self, windows) -> np.ndarray:
-        return kan_forward_batch(self, *_features(self, windows))
+        features = _features(self, windows)
+        return kan_forward_batch(self, *features, trusted=isinstance(features, Encoded))
 
 
 def _features(net: KanNetwork, inputs):
-    """Encoded input as given (a tuple), or raw (B, L, F) windows or (B, L·F)
-    rows checked for width and encoded."""
+    """Encoded input as given (a tuple, trusted if ``Encoded``), or raw
+    (B, L, F) windows or (B, L·F) rows checked for width and encoded."""
     if isinstance(inputs, tuple):
         if len(inputs) != 2:
             raise ValueError(f"encoded inputs must be a (silu, basis) pair, "
@@ -135,11 +154,11 @@ def kan_init(dims: list[int], spec: SplineSpec, rng: Rng) -> KanNetwork:
     return KanNetwork(layers)
 
 
-def _check_features(net: KanNetwork, silu_x, basis):
+def _check_features(net: KanNetwork, silu_x, basis, trusted: bool):
     """The encoded pair as (B, in_dim) and (B, in_dim·n_basis) views.
 
-    A shape that does not match the first layer, or a non-finite value,
-    raises ValueError before any computation.
+    A shape that does not match the first layer, or a non-finite value in
+    an untrusted pair, raises ValueError before any computation.
     """
     layer = net.layers[0]
     silu_x = np.asarray(silu_x, dtype=np.float64)
@@ -152,8 +171,8 @@ def _check_features(net: KanNetwork, silu_x, basis):
     want = silu_x.shape[:-1] + (silu_x.shape[-1] * n_basis,)
     if basis.shape != want:
         raise ValueError(f"basis features must have shape {want}, got {basis.shape}")
-    if not (np.isfinite(silu_x).all() and np.isfinite(basis).all()):
-        raise ValueError("encoded inputs must be finite")
+    if not trusted:
+        check_finite("encoded inputs", silu_x, basis)
     rows = silu_x.shape[0]
     return silu_x.reshape(rows, layer.in_dim), basis.reshape(rows, layer.in_dim * n_basis)
 
@@ -183,16 +202,17 @@ def _forward(net: KanNetwork, silu_x: np.ndarray, basis: np.ndarray):
     return out, reads
 
 
-def kan_forward_batch(net: KanNetwork, silu_x, basis) -> np.ndarray:
-    """Prediction per row of an encoded batch (see ``KanNetwork.encode``)."""
-    out, _ = _forward(net, *_check_features(net, silu_x, basis))
+def kan_forward_batch(net: KanNetwork, silu_x, basis, *, trusted: bool = False) -> np.ndarray:
+    """Prediction per row of an encoded batch (see ``KanNetwork.encode``);
+    ``trusted`` arrays come from ``encode`` and skip the finiteness scan."""
+    out, _ = _forward(net, *_check_features(net, silu_x, basis, trusted))
     return out[:, 0]
 
 
-def kan_backward(net: KanNetwork, silu_x, basis, targets):
+def kan_backward(net: KanNetwork, silu_x, basis, targets, *, trusted: bool = False):
     """MSE loss over an encoded batch plus exact gradients, packed flat like
-    pack()."""
-    silu_x, basis = _check_features(net, silu_x, basis)
+    pack(); ``trusted`` as for ``kan_forward_batch``."""
+    silu_x, basis = _check_features(net, silu_x, basis, trusted)
     y = np.asarray(targets, dtype=np.float64)
     if silu_x.shape[0] == 0:
         raise ValueError("batch must be nonempty")

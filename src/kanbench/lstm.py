@@ -24,6 +24,10 @@ matmul by the block's transposed h columns gives every layer's dh. Each
 layer's weight and bias gradients are then one contraction over its own
 live waves. The forward-only pass keeps no cache and updates one column
 buffer in place.
+
+``encode`` scans its windows for finiteness once and returns them as an
+``Encoded`` 1-tuple; as on the spline side, such a tuple, and row selections
+or slices of it, are not scanned again.
 """
 
 from dataclasses import dataclass
@@ -31,7 +35,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numcore import Rng, check_int, checkpoint_array, checkpoint_field, sigmoid
+from .numcore import (
+    Encoded,
+    Rng,
+    check_finite,
+    check_int,
+    checkpoint_array,
+    checkpoint_field,
+    sigmoid,
+)
 
 HEAD_ACTIVATIONS = ("linear", "tanh")
 
@@ -102,15 +114,20 @@ class LstmNetwork:
         self.head[...] = flat[pos:]
 
     def encode(self, windows):
-        """The windows themselves, as a 1-tuple: every layer reads its input
-        through the trained gates, so nothing is worth precomputing."""
-        return (np.asarray(windows, dtype=np.float64),)
+        """The windows themselves, checked finite, as a 1-tuple: every layer
+        reads its input through the trained gates, so nothing is worth
+        precomputing."""
+        x = np.asarray(windows, dtype=np.float64)
+        check_finite("inputs", x)
+        return Encoded((x,))
 
     def batch_loss_and_grad(self, inputs, targets):
-        return lstm_loss_and_grad(self, _windows(inputs), targets)
+        trusted = isinstance(inputs, Encoded)
+        return lstm_loss_and_grad(self, _windows(inputs), targets, trusted=trusted)
 
     def predict_window_batch(self, windows) -> np.ndarray:
-        return lstm_forward_batch(self, _windows(windows))
+        trusted = isinstance(windows, Encoded)
+        return lstm_forward_batch(self, _windows(windows), trusted=trusted)
 
 
 def _windows(inputs):
@@ -223,7 +240,8 @@ def _run_waves(net: LstmNetwork, x: np.ndarray, keep_cache: bool):
     return top, ((waves, cols, cs, gates, tanh_c) if keep_cache else None)
 
 
-def _check_batch(net: LstmNetwork, x: np.ndarray) -> np.ndarray:
+def _check_batch(net: LstmNetwork, x: np.ndarray, trusted: bool) -> np.ndarray:
+    """The batch as float64, its shape checked and, unless ``trusted``, its values."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != net.input_dim:
         raise ValueError(
@@ -231,14 +249,15 @@ def _check_batch(net: LstmNetwork, x: np.ndarray) -> np.ndarray:
         )
     if x.shape[0] == 0 or x.shape[1] == 0:
         raise ValueError("batch and sequence length must be nonzero")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("inputs must be finite")
+    if not trusted:
+        check_finite("inputs", x)
     return x
 
 
-def lstm_forward_batch(net: LstmNetwork, inputs) -> np.ndarray:
-    """Scalar prediction per sequence in a (B, L, F) batch."""
-    x = _check_batch(net, np.asarray(inputs, dtype=np.float64))
+def lstm_forward_batch(net: LstmNetwork, inputs, *, trusted: bool = False) -> np.ndarray:
+    """Scalar prediction per sequence in a (B, L, F) batch; ``trusted``
+    windows come from ``encode`` and skip the finiteness scan."""
+    x = _check_batch(net, inputs, trusted)
     top, _ = _run_waves(net, x, keep_cache=False)
     pre = net.head @ top
     return np.tanh(pre) if net.head_activation == "tanh" else pre
@@ -285,9 +304,10 @@ def _backward_waves(layers: list[LstmLayer], cache, dh_top: np.ndarray):
     return grads
 
 
-def lstm_loss_and_grad(net: LstmNetwork, inputs, targets):
-    """MSE over the batch plus exact BPTT gradients, packed flat."""
-    x = _check_batch(net, np.asarray(inputs, dtype=np.float64))
+def lstm_loss_and_grad(net: LstmNetwork, inputs, targets, *, trusted: bool = False):
+    """MSE over the batch plus exact BPTT gradients, packed flat; ``trusted``
+    as for ``lstm_forward_batch``."""
+    x = _check_batch(net, inputs, trusted)
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != (x.shape[0],):
         raise ValueError(f"targets must have shape ({x.shape[0]},), got {y.shape}")

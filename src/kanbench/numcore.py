@@ -1,13 +1,34 @@
-"""Seeded randomness, the float64 activations shared by every module, and
-the int and field checks that configs and both model checkpoints load through.
+"""Seeded randomness, the float64 activations shared by every module, the
+int, real and field checks that configs and both model checkpoints load
+through, and the finiteness rule for model input.
 
 All randomness flows through PCG64 generators built by :func:`make_rng`, so a
 seed fully determines every stream on every platform numpy supports.
 """
 
+import math
+
 import numpy as np
 
 Rng = np.random.Generator
+
+
+class Encoded(tuple):
+    """The arrays a model's ``encode`` returns, finite by construction.
+
+    ``encode`` rejects non-finite input, so these arrays, and any row
+    selection or slice of them rebuilt as ``type(features)(...)``, need no
+    second finiteness scan: the models skip it for an ``Encoded`` tuple. A
+    plain tuple built by hand is scanned before any computation.
+    """
+
+    __slots__ = ()
+
+
+def check_finite(what: str, *arrays) -> None:
+    """A ValueError naming ``what`` unless every value of every array is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{what} must be finite")
 
 
 def make_rng(seed: int) -> Rng:
@@ -45,6 +66,26 @@ def check_int(value, name: str, least: int = 1) -> int:
     count steps or seed generators."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    return value
+
+
+def check_real(value, name: str, above=None, at_least=None, below=None):
+    """``value`` if it is a finite real number in range, else a ValueError
+    naming ``name``.
+
+    An int or a float will do; a bool or a numeric string will not. The range
+    is any of ``value > above``, ``value >= at_least`` and ``value < below``.
+    The value is returned as given, so a config keeps the type it was read with.
+    """
+    ok = (not isinstance(value, bool) and isinstance(value, (int, float))
+          and math.isfinite(value)
+          and (above is None or value > above)
+          and (at_least is None or value >= at_least)
+          and (below is None or value < below))
+    if not ok:
+        rules = [f" {op} {bound}" for op, bound in ((">", above), (">=", at_least), ("<", below))
+                 if bound is not None]
+        raise ValueError(f"{name} must be a finite number{' and'.join(rules)}, got {value!r}")
     return value
 
 

@@ -5,11 +5,12 @@ Both optimizers see a model only through its flat parameter vector
 ``batch_loss_and_grad`` callable, so they are model-agnostic. ``train``
 encodes the training set once: an encoding depends on the data alone, so
 every L-BFGS evaluation and every Adam minibatch (rows picked from the
-encoded arrays) reads the same features. L-BFGS is full-batch by
-construction — the line search needs a deterministic loss — and uses the
-standard two-loop recursion with initial Hessian scaling, a strong-Wolfe
-line search (bracket + bisection zoom), and a backtracking fallback along
-the negative gradient.
+encoded arrays, rebuilt as the encoding's own type so the model trusts
+them as it trusts ``encode``'s output) reads the same features. L-BFGS is
+full-batch by construction — the line search needs a deterministic loss —
+and uses the standard two-loop recursion with initial Hessian scaling, a
+strong-Wolfe line search (bracket + bisection zoom), and a backtracking
+fallback along the negative gradient.
 """
 
 import time
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numcore import check_int, make_rng
+from .numcore import check_int, check_real, make_rng
 
 
 # --------------------------------------------------------------------------
@@ -229,6 +230,11 @@ class TrainConfig:
         for name, least in (("max_epochs", 0), ("batch_size", 0), ("patience", 1),
                             ("shuffle_seed", 0), ("lbfgs_memory", 1), ("max_ls_steps", 1)):
             check_int(getattr(self, name), name, least)
+        check_real(self.lr, "lr", above=0)
+        check_real(self.eps, "eps", above=0)
+        check_real(self.tol, "tol", at_least=0)
+        for name in ("beta1", "beta2"):
+            check_real(getattr(self, name), name, at_least=0, below=1)
 
 
 @dataclass
@@ -283,7 +289,7 @@ def _train_loop(model, x, y, config: TrainConfig) -> TrainReport:
             order = rng.permutation(n)
             for lo in range(0, n, bs):
                 idx = order[lo : lo + bs]
-                batch = tuple(a[idx] for a in features)
+                batch = type(features)(a[idx] for a in features)
                 loss, grads = model.batch_loss_and_grad(batch, y[idx])
                 if not (np.isfinite(loss) and np.all(np.isfinite(grads))):
                     raise TrainingDiverged(epoch, f"loss={loss!r}")

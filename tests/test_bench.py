@@ -24,7 +24,7 @@ from kanbench.bench import (
     KanParams,
     LstmParams,
     PreparedData,
-    _horizon_eval,
+    _horizon_evals,
     comparison_table,
     config_from_dict,
     config_to_dict,
@@ -40,7 +40,10 @@ from kanbench.bench import (
     runtime_summary,
     save_results,
 )
+from kanbench.bspline import SplineSpec
 from kanbench.data import CLOSE, gen_synthetic, make_regime, scaler_fit
+from kanbench.kan import kan_init
+from kanbench.lstm import lstm_init
 from kanbench.numcore import make_rng
 from kanbench.optim import TrainConfig
 
@@ -162,6 +165,23 @@ class TestValidation:
         ({"horizons": [1.5]}, "horizons"),
         ({"horizons": [True]}, "horizons"),
         ({"horizons": 5}, "horizons"),
+        ({"train": {"lr": -1.0}}, "lr"),
+        ({"train": {"lr": 0}}, "lr"),
+        ({"train": {"lr": "0.01"}}, "lr"),
+        ({"train": {"eps": 0.0}}, "eps"),
+        ({"train": {"beta1": 1.5}}, "beta1"),
+        ({"train": {"beta1": -0.1}}, "beta1"),
+        ({"train": {"beta2": 1.0}}, "beta2"),
+        ({"train": {"tol": float("inf")}}, "tol"),
+        ({"train": {"tol": -1e-9}}, "tol"),
+        ({"train": {"tol": False}}, "tol"),
+        ({"train_frac": "0.8"}, "train_frac"),
+        ({"train_frac": float("nan")}, "train_frac"),
+        ({"train_frac": 0}, "train_frac"),
+        ({"data": {"volatility": float("nan")}}, "volatility"),
+        ({"data": {"volatility": "x"}}, "volatility"),
+        ({"data": {"drift": float("inf")}}, "drift"),
+        ({"data": {"drift": "0.001"}}, "drift"),
     ])
     def test_bad_values_rejected_at_parse(self, payload, field, tmp_path):
         model = "lstm" if "lstm" in payload else "kan"
@@ -264,7 +284,7 @@ class TestHorizonEval:
     def test_h1_matches_hand_loop(self):
         prepared = fabricate_prepared(n_rows=40, lookback=5, n_train=20)
         model = StepAheadOracle()
-        summary = _horizon_eval(model, prepared, horizon=1)
+        summary = _horizon_evals(model, prepared, [1])[0]
         # anchors 20..34: predict scaled[j+4,0], truth scaled[j+5,0]
         pred = prepared.scaled[np.arange(20, 35) + 4, 0]
         actual = prepared.scaled[np.arange(20, 35) + 5, 0]
@@ -276,7 +296,7 @@ class TestHorizonEval:
         # the persistence oracle re-reads its own copied-forward close, so
         # every step of an anchor's trace equals the anchor's last seen close
         prepared = fabricate_prepared(n_rows=30, lookback=4, n_train=15)
-        summary = _horizon_eval(StepAheadOracle(), prepared, horizon=3)
+        summary = _horizon_evals(StepAheadOracle(), prepared, [3])[0]
         first_anchor_close = prepared.scaled[15 + 3, 0]
         assert summary.sample_pred == [first_anchor_close] * 3
         assert summary.sample_actual == [
@@ -295,16 +315,88 @@ class TestHorizonEval:
         prepared = fabricate_prepared(
             n_rows=horizon + 40, lookback=2, n_train=5, seed=1
         )
-        summary = _horizon_eval(StepAheadOracle(), prepared, horizon=horizon)
+        summary = _horizon_evals(StepAheadOracle(), prepared, [horizon])[0]
         full = (horizon + 40) - 2 - horizon - 5 + 1  # 34 eligible anchors
         assert full > 10
         assert summary.n_anchors == 10
 
     def test_no_feasible_anchor_is_nan(self):
         prepared = fabricate_prepared(n_rows=30, lookback=4, n_train=25)
-        summary = _horizon_eval(StepAheadOracle(), prepared, horizon=5)
+        summary = _horizon_evals(StepAheadOracle(), prepared, [5])[0]
         assert summary.n_anchors == 0
         assert math.isnan(summary.rmse)
+
+
+class RowCounter(StepAheadOracle):
+    """The persistence oracle, recording how many windows each call sees."""
+
+    def __init__(self):
+        self.rows = []
+
+    def predict_window_batch(self, encoded):
+        self.rows.append(len(encoded[0]))
+        return super().predict_window_batch(encoded)
+
+
+class TestSharedRollout:
+    # 80 rows, L=5, 40 training samples: 35 anchors at h=1. A budget of 60
+    # thins h=2 (34 anchors) to 30 and h=7 (29 anchors) to 8, neither a prefix.
+    HORIZONS = (1, 2, 7)
+
+    def prepared(self, monkeypatch):
+        monkeypatch.setattr(bench, "ANCHOR_BUDGET", 60)
+        return fabricate_prepared(n_rows=80, lookback=5, n_train=40, seed=4)
+
+    def test_budget_thins_to_anchors_that_are_not_a_prefix(self, monkeypatch):
+        prepared = self.prepared(monkeypatch)
+        assert np.array_equal(bench._anchors(prepared, 1), np.arange(40, 75))
+        for h, n in ((2, 30), (7, 8)):
+            anchors = bench._anchors(prepared, h)
+            # spread evenly up to the last eligible start row, 80 - 5 - h
+            assert anchors.size == n and anchors[0] == 40 and anchors[-1] == 75 - h
+
+    def test_equals_one_horizon_calls_exactly_for_the_oracle(self, monkeypatch):
+        prepared = self.prepared(monkeypatch)
+        shared = _horizon_evals(StepAheadOracle(), prepared, self.HORIZONS)
+        alone = [_horizon_evals(StepAheadOracle(), prepared, [h])[0] for h in self.HORIZONS]
+        assert shared == alone
+
+    @pytest.mark.parametrize("family", ["kan", "lstm"])
+    def test_equals_one_horizon_calls_for_tiny_models(self, monkeypatch, family):
+        prepared = self.prepared(monkeypatch)
+        if family == "kan":
+            model = kan_init([5, 3, 1], SplineSpec(3, 2), make_rng(50))
+        else:
+            model = lstm_init(1, hidden=3, n_layers=2, rng=make_rng(50))
+        shared = _horizon_evals(model, prepared, self.HORIZONS)
+        alone = [_horizon_evals(model, prepared, [h])[0] for h in self.HORIZONS]
+        for got, want in zip(shared, alone):
+            assert (got.horizon, got.n_anchors) == (want.horizon, want.n_anchors)
+            assert got.sample_actual == want.sample_actual
+            assert got.rmse == pytest.approx(want.rmse, rel=1e-12, abs=0)
+            assert got.sample_pred == pytest.approx(want.sample_pred, rel=1e-12, abs=0)
+
+    def test_one_predict_call_per_step_of_the_deepest_horizon(self, monkeypatch):
+        prepared = self.prepared(monkeypatch)
+        spy = RowCounter()
+        _horizon_evals(spy, prepared, self.HORIZONS)
+        assert len(spy.rows) == max(self.HORIZONS)
+        assert all(a >= b for a, b in zip(spy.rows, spy.rows[1:]))
+        union = np.unique(np.concatenate([bench._anchors(prepared, h) for h in self.HORIZONS]))
+        assert spy.rows[0] == union.size
+        assert spy.rows[-1] == 8  # only the h=7 anchors roll to step 7
+
+    def test_unordered_and_repeated_horizons(self, monkeypatch):
+        prepared = self.prepared(monkeypatch)
+        shared = _horizon_evals(StepAheadOracle(), prepared, (7, 1, 7, 2))
+        alone = [_horizon_evals(StepAheadOracle(), prepared, [h])[0] for h in (7, 1, 7, 2)]
+        assert shared == alone
+
+    def test_infeasible_horizon_beside_feasible_ones(self):
+        prepared = fabricate_prepared(n_rows=30, lookback=4, n_train=20)
+        short, long = _horizon_evals(StepAheadOracle(), prepared, (2, 7))
+        assert short.n_anchors == 5 and math.isfinite(short.rmse)
+        assert long.n_anchors == 0 and math.isnan(long.rmse) and long.sample_pred == []
 
 
 class TestRunExperiment:

@@ -1,7 +1,8 @@
 """Iterative forecasting: manual chaining oracle, the former
 concatenate-and-slide rollout as a bit-exact reference for the encoded
-tape, prefix consistency, row independence of batched rollouts, pseudo-row
-column handling, failure behavior."""
+tape (also past the point where the bounded tape slides), prefix
+consistency, row independence of batched rollouts, per-window horizons,
+pseudo-row column handling, failure behavior."""
 
 import numpy as np
 import pytest
@@ -242,6 +243,93 @@ class TestEncodedTape:
         before = windows.copy()
         iterative_forecast_batch(MeanCloseModel(CLOSE), windows, horizon=5)
         assert np.array_equal(windows, before)
+
+
+class TapeSpy(RawWindows):
+    """The persistence model, recording each call's row count and the array
+    its window views read from."""
+
+    def __init__(self):
+        self.rows, self.bases = [], []
+
+    def predict_window_batch(self, encoded):
+        (windows,) = encoded
+        self.rows.append(len(windows))
+        self.bases.append(windows.base)
+        return windows[:, -1, 0]
+
+
+def tiny_model(family, n_features, lookback, seed):
+    if family == "kan":
+        return kan_init([lookback * n_features, 5, 1], SplineSpec(3, 2), make_rng(seed))
+    return lstm_init(n_features, hidden=6, n_layers=2, rng=make_rng(seed))
+
+
+class TestBoundedTape:
+    @pytest.mark.parametrize("mode", ["ohlcv", "close_only"])
+    @pytest.mark.parametrize("family", ["kan", "lstm"])
+    def test_horizon_far_past_lookback_equals_reference_bit_for_bit(self, family, mode):
+        n_features, close_col, adj_close_col = TestEncodedTape.MODES[mode]
+        lookback, horizon = 8, 61  # the tape slides seven times
+        model = tiny_model(family, n_features, lookback, 24)
+        windows = make_rng(25).uniform(0.1, 0.9, size=(3, lookback, n_features))
+        want = reference_rollout(model, windows, horizon, close_col, adj_close_col)
+        got = iterative_forecast_batch(model, windows, horizon)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lookback,horizon", [(8, 61), (8, 8), (8, 3), (8, 1), (1, 5)])
+    def test_tape_holds_at_most_lookback_plus_min_horizon_lookback_minus_one_rows(
+            self, lookback, horizon):
+        spy = TapeSpy()
+        windows = make_rng(26).uniform(0.1, 0.9, size=(2, lookback, 1))
+        iterative_forecast_batch(spy, windows, horizon)
+        rows = lookback + min(horizon, lookback) - 1
+        assert {base.shape for base in spy.bases} == {(2, rows, 1)}
+
+
+class TestPerWindowHorizons:
+    HORIZONS = [9, 9, 6, 2, 1]
+
+    @pytest.mark.parametrize("family", ["mean", "kan", "lstm"])
+    def test_each_row_equals_its_own_rollout_then_nan(self, family):
+        windows = make_rng(27).uniform(0.1, 0.9, size=(5, 6, 6))
+        model = MeanCloseModel(CLOSE) if family == "mean" else tiny_model(family, 6, 6, 28)
+        got = iterative_forecast_batch(model, windows, self.HORIZONS)
+        assert got.shape == (5, 9)
+        for b, h in enumerate(self.HORIZONS):
+            alone = iterative_forecast_batch(model, windows[b : b + 1], h)[0]
+            if family == "mean":
+                assert np.array_equal(got[b, :h], alone)
+            else:
+                assert np.allclose(got[b, :h], alone, rtol=1e-12, atol=0)
+            assert np.isnan(got[b, h:]).all()
+
+    def test_only_the_windows_still_rolling_reach_the_model(self):
+        spy = TapeSpy()
+        windows = make_rng(29).uniform(0.1, 0.9, size=(5, 4, 1))
+        iterative_forecast_batch(spy, windows, self.HORIZONS)
+        assert spy.rows == [5, 4, 3, 3, 3, 3, 2, 2, 2]
+
+    def test_an_int_is_every_window_s_horizon(self):
+        windows = make_rng(30).uniform(0.1, 0.9, size=(3, 4, 6))
+        model = MeanCloseModel(CLOSE)
+        assert np.array_equal(iterative_forecast_batch(model, windows, 4),
+                              iterative_forecast_batch(model, windows, [4, 4, 4]))
+
+    @pytest.mark.parametrize("horizon,match", [
+        ([2, 3, 1], "non-increasing"),
+        ([3, 2, 0], ">= 1"),
+        (0, ">= 1"),
+        ([3, 2], "one per window"),
+        ([[3, 2, 1]], "one per window"),
+        ([3.0, 2.0, 1.0], "one per window"),
+        (2.0, "one per window"),
+        (True, "one per window"),
+    ])
+    def test_bad_horizons_rejected(self, horizon, match):
+        windows = np.full((3, 4, 1), 0.5)
+        with pytest.raises(ValueError, match=match):
+            iterative_forecast_batch(MeanCloseModel(0), windows, horizon)
 
 
 class TestTrace:

@@ -7,6 +7,7 @@ import pytest
 
 from kanbench import kan as kan_module
 from kanbench.bspline import SplineSpec, basis_grad_matrix, basis_matrix
+from kanbench.forecast import iterative_forecast_batch
 from kanbench.kan import (
     KanLayer,
     KanNetwork,
@@ -17,6 +18,7 @@ from kanbench.kan import (
     to_json_dict,
 )
 from kanbench.numcore import make_rng, sigmoid, silu, silu_grad
+from kanbench.optim import TrainConfig, train
 
 
 def small_net(dims=(4, 3, 1), seed=0, spec=SplineSpec(5, 3)):
@@ -172,6 +174,46 @@ class TestEncode:
         for wrong_arity in [(silu_x,), (silu_x, basis, basis)]:
             with pytest.raises(ValueError, match="pair"):
                 net.predict_window_batch(wrong_arity)
+
+
+    def test_encoded_features_are_scanned_once(self, monkeypatch):
+        # encode rejects non-finite input itself; training (both optimizers),
+        # a rollout and a raw-window prediction never scan its features again
+        net = self.net()
+        scans = []
+        scan = kan_module.check_finite
+        monkeypatch.setattr(kan_module, "check_finite",
+                            lambda what, *arrays: scans.append(what) or scan(what, *arrays))
+        x = make_rng(35).uniform(0.0, 1.0, size=(40, 4, 3))
+        y = make_rng(36).uniform(0.0, 1.0, size=40)
+        for optimizer in ("lbfgs", "adam"):
+            train(net, x, y, TrainConfig(optimizer=optimizer, max_epochs=2, batch_size=16))
+        iterative_forecast_batch(net, x[:5], [7, 7, 3, 2, 1], close_col=0)
+        net.predict_window_batch(x)
+        assert scans == []
+        # a hand-built pair is scanned, and so are rows selected from one
+        pair = tuple(net.encode(x[:4]))
+        net.predict_window_batch(pair)
+        net.predict_window_batch(type(pair)(a[[3, 1]] for a in pair))
+        assert scans == ["encoded inputs"] * 2
+
+    def test_rows_of_a_bad_hand_built_pair_rejected_before_any_computation(self, monkeypatch):
+        net = self.net()
+        silu_x, basis = net.encode(make_rng(37).uniform(0.0, 1.0, size=(4, 4, 3)))
+        silu_x = silu_x.copy()
+        silu_x[2, 1, 0] = np.nan
+        pair = (silu_x, basis)
+
+        def computed(*args, **kwargs):
+            raise AssertionError("computation started on rejected input")
+
+        monkeypatch.setattr(kan_module, "_forward", computed)
+        for features in (pair, type(pair)(a[[2, 0]] for a in pair),
+                         type(pair)(a[1:3] for a in pair)):
+            with pytest.raises(ValueError, match="finite"):
+                net.predict_window_batch(features)
+            with pytest.raises(ValueError, match="finite"):
+                net.batch_loss_and_grad(features, np.zeros(len(features[0])))
 
 
 class TestGradients:

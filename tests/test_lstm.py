@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from kanbench import lstm
+from kanbench.forecast import iterative_forecast_batch
 from kanbench.lstm import (
     LstmLayer,
     LstmNetwork,
@@ -24,6 +25,7 @@ from kanbench.lstm import (
     to_json_dict,
 )
 from kanbench.numcore import make_rng, sigmoid
+from kanbench.optim import TrainConfig, train
 
 
 def small_net(input_dim=3, hidden=5, layers=2, seed=0, head="linear"):
@@ -276,6 +278,39 @@ class TestForwardOracle:
                 net.predict_window_batch(bad)
             with pytest.raises(ValueError):
                 net.batch_loss_and_grad(bad, np.zeros(2))
+
+    def test_encoded_windows_are_scanned_once(self, monkeypatch):
+        # encode scans the windows once; training (both optimizers) and a
+        # rollout never scan them again, but a hand-built 1-tuple, and rows
+        # selected from one, are scanned before any computation
+        net = small_net(seed=13)
+        scans = []
+        scan = lstm.check_finite
+        monkeypatch.setattr(lstm, "check_finite",
+                            lambda what, *arrays: scans.append(what) or scan(what, *arrays))
+        x = make_rng(9).uniform(0.0, 1.0, size=(40, 4, 3))
+        y = make_rng(10).uniform(0.0, 1.0, size=40)
+        for optimizer in ("adam", "lbfgs"):
+            train(net, x, y, TrainConfig(optimizer=optimizer, max_epochs=2, batch_size=16))
+        assert scans == ["inputs"] * 2  # one encode per train call
+        scans.clear()
+        iterative_forecast_batch(net, x[:5], [6, 4, 4, 1, 1], close_col=0)
+        assert scans == ["inputs"] * 6  # the seed windows, then one pseudo-row per step
+        scans.clear()
+
+        bad = x[:4].copy()
+        bad[2, 1, 0] = np.nan
+
+        def computed(*args, **kwargs):
+            raise AssertionError("computation started on rejected input")
+
+        monkeypatch.setattr(lstm, "_run_waves", computed)
+        for features in ((bad,), (bad[[2, 0]],), (bad[1:3],)):
+            with pytest.raises(ValueError, match="finite"):
+                net.predict_window_batch(features)
+            with pytest.raises(ValueError, match="finite"):
+                net.batch_loss_and_grad(features, np.zeros(len(features[0])))
+        assert scans == ["inputs"] * 6
 
 
 # (layers, head, batch, steps): windows of 1 and 2 steps are shorter than a

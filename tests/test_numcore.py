@@ -1,10 +1,10 @@
-"""Numeric primitives: RNG construction and activations."""
+"""Numeric primitives: RNG construction, activations and the real-number rule."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kanbench.numcore import make_rng, sigmoid, silu, silu_grad
+from kanbench.numcore import check_real, make_rng, sigmoid, silu, silu_grad
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -78,3 +78,34 @@ class TestSilu:
         num = (silu(x + h) - silu(x - h)) / (2 * h)
         assert np.allclose(silu_grad(x, sigmoid(x)), num, atol=1e-7)
 
+
+
+class TestCheckReal:
+    def test_in_range_values_returned_as_given(self):
+        assert check_real(0.5, "x", above=0, below=1) == 0.5
+        one = check_real(1, "x", at_least=0)
+        assert one == 1 and type(one) is int
+        assert check_real(0.0, "x", at_least=0, below=1) == 0.0
+        assert check_real(-3.5, "x") == -3.5
+        assert check_real(np.float64(0.25), "x", above=0) == 0.25
+
+    @pytest.mark.parametrize("value,bounds", [
+        (True, {}),  # a bool is not a number here
+        ("0.5", {}),  # nor is a numeric string
+        (None, {}),
+        ([0.5], {}),
+        (float("nan"), {}),
+        (float("inf"), {}),
+        (-float("inf"), {"below": 1}),
+        (0.0, {"above": 0}),
+        (-1e-300, {"at_least": 0}),
+        (1.0, {"at_least": 0, "below": 1}),
+        (1.5, {"above": 0, "below": 1}),
+    ])
+    def test_rejected_with_the_field_named(self, value, bounds):
+        with pytest.raises(ValueError, match=r"^beta1 must be a finite number"):
+            check_real(value, "beta1", **bounds)
+
+    def test_message_states_the_range(self):
+        with pytest.raises(ValueError, match=r">= 0 and < 1, got 1\.5"):
+            check_real(1.5, "beta2", at_least=0, below=1)
