@@ -5,13 +5,16 @@ that is checked whole whenever it is built, so a bad value raises a ValueError
 naming its field before anything runs. Running it executes the full pipeline:
 generate/load data, scale on training rows only, window, split
 chronologically, train a one-step model, evaluate on the test split, then
-walk anchored iterative forecasts across the test segment. Every configured
-horizon keeps its own anchors, and all of them are read from one shared
-batched rollout, which drops each anchor once it has reached the deepest
-horizon that uses it. A matrix run executes many experiments (optionally
-in parallel), joins LSTM-vs-KAN rows per (regime, horizon) cell into a
-ratio column, and renders CSV / markdown / gnuplot reports plus a
-mean-runtime comparison.
+walk anchored iterative forecasts across the test segment. A series that
+cannot anchor the largest horizon (one training sample and a test segment
+that long) is refused before any training, so every horizon of a completed
+experiment has an anchor and a finite RMSE. Every configured horizon keeps
+its own anchors, and all of them are read from one shared batched rollout,
+which drops each anchor once it has reached the deepest horizon that uses
+it. A matrix run executes many experiments (optionally in parallel), joins
+LSTM-vs-KAN rows per (regime, horizon) cell into a ratio column, and renders
+CSV / markdown / gnuplot reports plus a mean-runtime comparison. Saved
+results are strict JSON, and loading refuses a record no run makes.
 
 All randomness flows from explicit seeds; rerunning a config yields a
 byte-identical canonical serialization (wall-clock fields excluded).
@@ -103,11 +106,27 @@ class DataConfig:
             raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
         if self.source == "csv" and not self.csv_path:
             raise ValueError("csv source requires csv_path")
-        check_int(self.days, "days", 2 if self.source == "synthetic" else 1)
+        # the synthetic fields are checked whatever the source, so a typo in
+        # a CSV section fails as it would in a synthetic one
+        check_int(self.days, "days", 2)
         check_int(self.data_seed, "data_seed", 0)
-        if self.source == "synthetic":
-            # a CSV's length is known only once the file is read
-            make_regime(self.regime, self.days, self.data_seed, self.drift, self.volatility)
+        make_regime(self.regime, self.days, self.data_seed, self.drift, self.volatility)
+
+
+def _check_anchorable(config: "ExperimentConfig", n_rows: int) -> None:
+    """Refuse a series of n_rows rows that cannot anchor the config's largest
+    horizon: it needs at least one training sample, and a test segment at
+    least as long as that horizon, which then has at least one anchor."""
+    h_max = max(config.horizons)
+    n_samples = n_rows - config.lookback
+    n_train = split_point(n_samples, config.train_frac)
+    n_test = n_samples - n_train
+    if n_train < 1 or n_test < h_max:
+        raise ValueError(
+            f"series of {n_rows} rows cannot anchor horizon {h_max}: lookback "
+            f"{config.lookback} and train_frac {config.train_frac} leave {max(n_train, 0)} "
+            f"training and {max(n_test, 0)} test samples, and it needs at least 1 and {h_max}"
+        )
 
 
 @dataclass(frozen=True)
@@ -147,20 +166,14 @@ class ExperimentConfig:
         other = "kan" if self.model == "lstm" else "lstm"
         if getattr(self, other) is not None and getattr(self, self.model) is None:
             raise ValueError(f"model is {self.model} but only {other} params were given")
-        if self.data.source == "synthetic":
+        if self.data.source == "synthetic":  # a CSV's rows are checked in prepare
             h_max = max(self.horizons)
             if self.data.days < self.lookback + h_max + 10:
                 raise ValueError(
                     f"days={self.data.days} too short: need >= lookback + max horizon + 10 "
                     f"= {self.lookback + h_max + 10}"
                 )
-            n_samples = self.data.days - self.lookback
-            n_test = n_samples - split_point(n_samples, self.train_frac)
-            if n_test < h_max:
-                raise ValueError(
-                    f"test segment of {n_test} samples cannot anchor horizon {h_max}; "
-                    f"increase days or lower train_frac"
-                )
+            _check_anchorable(self, self.data.days)
 
     @property
     def label(self) -> str:
@@ -234,19 +247,16 @@ def prepare(config: ExperimentConfig) -> PreparedData:
 
     One-step training samples 0..n_train-1 touch exactly the first
     n_train + lookback rows, so the scaler fits on those rows and nothing
-    later — no test information leaks into the scaling.
+    later — no test information leaks into the scaling. A series that cannot
+    anchor the largest horizon is refused here, before any training.
     """
     series = load_series(config.data)
     cols = FEATURE_MODES[config.data.feature_mode]
     raw = series.values[:, cols]
+    _check_anchorable(config, raw.shape[0])
     target_col = cols.index(CLOSE)
     lookback = config.lookback
-    n_samples = raw.shape[0] - lookback
-    if n_samples < 2:
-        raise ValueError(
-            f"series of {raw.shape[0]} rows too short for lookback {lookback}"
-        )
-    n_train = split_point(n_samples, config.train_frac)
+    n_train = split_point(raw.shape[0] - lookback, config.train_frac)
     scaler = scaler_fit(raw[: n_train + lookback])
     scaled = scaler.transform(raw)
     windows = make_windows(scaled, lookback, 1, target_col)
@@ -323,13 +333,14 @@ def _anchors(prepared: PreparedData, horizon: int) -> np.ndarray:
 def _horizon_evals(model, prepared: PreparedData, horizons) -> list[HorizonSummary]:
     """Anchored walk-forward at every horizon, from one shared rollout.
 
-    Each horizon keeps its own anchors (see ``_anchors``). An anchor's first
-    h predictions do not depend on how far it is rolled, so the union of the
-    anchor sets is rolled once: each anchor to the largest horizon that uses
-    it, the deepest first, and each horizon reads its anchors' predictions
-    at step h. A summary's RMSE compares only that final (H-step-ahead)
-    prediction of each anchor against truth, which is what a per-horizon
-    table row means; its sample trace is its first anchor's.
+    Each horizon keeps its own anchors (see ``_anchors``), at least one after
+    ``prepare``'s check. An anchor's first h predictions do not depend on how
+    far it is rolled, so the union of the anchor sets is rolled once: each
+    anchor to the largest horizon that uses it, the deepest first, and each
+    horizon reads its anchors' predictions at step h. A summary's RMSE
+    compares only that final (H-step-ahead) prediction of each anchor against
+    truth, which is what a per-horizon table row means; its sample trace is
+    its first anchor's.
     """
     scaled, lookback, col = prepared.scaled, prepared.lookback, prepared.target_col
     sets = [_anchors(prepared, h) for h in horizons]
@@ -339,16 +350,12 @@ def _horizon_evals(model, prepared: PreparedData, horizons) -> list[HorizonSumma
     _, first = np.unique(anchors[order], return_index=True)  # each anchor at its deepest
     rows = order[np.sort(first)]
     anchors, depths = anchors[rows], depths[rows]
-    if anchors.size:
-        seed_windows = np.stack([scaled[j : j + lookback] for j in anchors])
-        preds = iterative_forecast_batch(model, seed_windows, depths, close_col=col)
+    seed_windows = np.stack([scaled[j : j + lookback] for j in anchors])
+    preds = iterative_forecast_batch(model, seed_windows, depths, close_col=col)
     by_anchor = np.argsort(anchors)
 
     summaries = []
     for h, wanted in zip(horizons, sets):
-        if not wanted.size:
-            summaries.append(HorizonSummary(h, 0, float("nan"), [], []))
-            continue
         at = by_anchor[np.searchsorted(anchors, wanted, sorter=by_anchor)]  # their rows
         truth = scaled[wanted[0] + lookback : wanted[0] + lookback + h, col]
         summaries.append(HorizonSummary(
@@ -422,10 +429,11 @@ def run_matrix(configs, parallelism: int = 1):
 
 
 def result_to_dict(result: ExperimentResult, include_wall: bool = True) -> dict:
+    """A JSON-ready record; a failure's RMSEs, which it never had, are None."""
     d = {
         "config": config_to_dict(result.config),
-        "train_rmse": result.train_rmse,
-        "test_rmse": result.test_rmse,
+        "train_rmse": None if result.failure is not None else result.train_rmse,
+        "test_rmse": None if result.failure is not None else result.test_rmse,
         "epochs_run": result.epochs_run,
         "horizons": [dataclasses.asdict(h) for h in result.horizons],
         "version": result.version,
@@ -442,22 +450,37 @@ def result_canonical_json(result: ExperimentResult) -> str:
 
 
 def result_from_dict(d: dict) -> ExperimentResult:
-    return ExperimentResult(
+    """Rebuild a saved record (a None RMSE reads as NaN), refusing one that no
+    run makes: a failure that carries horizons, or a horizon without an
+    anchor, without a finite RMSE, or with a sample trace not h steps long."""
+    result = ExperimentResult(
         config=config_from_dict(d["config"]),
-        train_rmse=d["train_rmse"],
-        test_rmse=d["test_rmse"],
+        train_rmse=math.nan if d["train_rmse"] is None else d["train_rmse"],
+        test_rmse=math.nan if d["test_rmse"] is None else d["test_rmse"],
         wall_seconds=d.get("wall_seconds", 0.0),
         epochs_run=d["epochs_run"],
         horizons=[HorizonSummary(**h) for h in d["horizons"]],
         version=d["version"],
         failure=d.get("failure"),
     )
+    where = f"result {result.config.label} (seed {result.config.seed})"
+    if result.failure is not None and result.horizons:
+        raise ValueError(f"{where}: failure record carries horizons")
+    for i, h in enumerate(result.horizons):
+        field = f"{where}: horizons[{i}]"
+        check_int(h.n_anchors, f"{field}.n_anchors")
+        check_real(h.rmse, f"{field}.rmse")
+        for key in ("sample_pred", "sample_actual"):
+            if len(getattr(h, key)) != h.horizon:
+                raise ValueError(f"{field}.{key} has {len(getattr(h, key))} steps, "
+                                 f"not horizon {h.horizon}")
+    return result
 
 
 def save_results(results, path) -> None:
     payload = {"results": [result_to_dict(r) for r in results]}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
 
 
 def load_results(path):
@@ -525,32 +548,18 @@ def comparison_table(results, best_only: bool = False):
                 )
             )
 
-    def cell(row):
-        return (row.regime, row.horizon)
-
-    best = {}  # (regime, horizon, model) -> best finite test rmse
+    best = {}  # (regime, horizon, model) -> its first row with the lowest test rmse
     for row in rows:
-        if math.isfinite(row.test_rmse):
-            key = cell(row) + (row.model,)
-            if key not in best or row.test_rmse < best[key]:
-                best[key] = row.test_rmse
+        key = (row.regime, row.horizon, row.model)
+        if key not in best or row.test_rmse < best[key].test_rmse:
+            best[key] = row
     for row in rows:
-        kan_best = best.get(cell(row) + ("kan",))
-        lstm_best = best.get(cell(row) + ("lstm",))
-        if kan_best is not None and lstm_best is not None and lstm_best > 0:
-            row.ratio = kan_best / lstm_best
-
+        kan = best.get((row.regime, row.horizon, "kan"))
+        lstm = best.get((row.regime, row.horizon, "lstm"))
+        if kan is not None and lstm is not None and lstm.test_rmse > 0:
+            row.ratio = kan.test_rmse / lstm.test_rmse
     if best_only:
-        chosen = {}
-        for row in rows:
-            key = cell(row) + (row.model,)
-            old = chosen.get(key)
-            if old is None or (
-                math.isfinite(row.test_rmse)
-                and not (math.isfinite(old.test_rmse) and old.test_rmse <= row.test_rmse)
-            ):
-                chosen[key] = row
-        rows = list(chosen.values())
+        rows = list(best.values())
 
     regime_order = {}
     for row in rows:
@@ -645,8 +654,6 @@ def emit_report(results, fmt: str, out_dir, best_only: bool = False):
     else:  # gnuplot-data
         for i, res in enumerate(results):
             for summary in res.horizons:
-                if not summary.sample_pred:
-                    continue
                 name = (
                     f"trace_{i:03d}_{res.config.model}_{_regime_of(res.config)}"
                     f"_h{summary.horizon}.dat"

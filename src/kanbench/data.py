@@ -124,10 +124,6 @@ class MinMaxScaler:
         if np.any(self.maxs < self.mins):
             raise ValueError("max < min in scaler")
 
-    @property
-    def n_features(self) -> int:
-        return self.mins.size
-
     def transform(self, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
         span = self.maxs - self.mins
@@ -146,21 +142,10 @@ def scaler_fit(train_rows) -> MinMaxScaler:
     return MinMaxScaler(rows.min(axis=0), rows.max(axis=0))
 
 
-def _feature_index(scaler: MinMaxScaler, feature) -> int:
-    if isinstance(feature, str):
-        if feature not in COL_INDEX:
-            raise ValueError(f"unknown feature {feature!r}; known: {COLUMNS}")
-        idx = COL_INDEX[feature]
-    else:
-        idx = int(feature)
-    if not 0 <= idx < scaler.n_features:
-        raise ValueError(f"feature index {idx} out of range for {scaler.n_features} features")
-    return idx
-
-
-def scaler_inverse(scaler: MinMaxScaler, scaled, feature) -> np.ndarray:
-    """Map scaled values of one feature (by name or index) back to raw units."""
-    idx = _feature_index(scaler, feature)
+def scaler_inverse(scaler: MinMaxScaler, scaled, idx: int) -> np.ndarray:
+    """Map scaled values of feature column ``idx`` back to raw units."""
+    if not 0 <= idx < scaler.mins.size:
+        raise ValueError(f"feature index {idx} out of range for {scaler.mins.size} features")
     scaled = np.asarray(scaled, dtype=np.float64)
     span = scaler.maxs[idx] - scaler.mins[idx]
     if span == 0.0:

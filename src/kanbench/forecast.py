@@ -24,34 +24,24 @@ that one rollout serves several horizons: at step s only the prefix of
 windows whose horizon exceeds s goes to the model, and the (B, max H)
 result holds NaN past each window's horizon. A window's predictions do not
 depend on the other windows in the batch, up to the rounding of a matmul
-over a different number of rows.
+over a different number of rows. A rollout raises on the first non-finite
+prediction, so every prediction it returns is finite.
+
+``kanbench forecast`` rolls one window through ``iterative_forecast`` and
+writes its ``ForecastTrace`` with ``write_trace_csv``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ADJ_CLOSE, CLOSE
+from .data import ADJ_CLOSE, CLOSE, scaler_inverse
 
 
 @dataclass
 class ForecastTrace:
     horizon: int
-    predictions: np.ndarray  # (H,) scaled closes
-    actual: np.ndarray | None  # (H,) scaled ground truth when known
-
-    def __post_init__(self):
-        self.predictions = np.asarray(self.predictions, dtype=np.float64)
-        if self.predictions.shape != (self.horizon,):
-            raise ValueError(
-                f"predictions shape {self.predictions.shape} != ({self.horizon},)"
-            )
-        if not np.all(np.isfinite(self.predictions)):
-            raise ValueError("predictions must be finite")
-        if self.actual is not None:
-            self.actual = np.asarray(self.actual, dtype=np.float64)
-            if self.actual.shape != (self.horizon,):
-                raise ValueError(f"actual shape {self.actual.shape} != ({self.horizon},)")
+    predictions: np.ndarray  # (H,) finite scaled closes
 
 
 def _close_columns(n_features: int, close_col):
@@ -68,7 +58,6 @@ def iterative_forecast(
     model,
     seed_window,
     horizon: int,
-    actual=None,
     close_col: int | None = None,
 ) -> ForecastTrace:
     """Chain one-step predictions H times from one (L, F) scaled window."""
@@ -76,7 +65,7 @@ def iterative_forecast(
     if window.ndim != 2:
         raise ValueError(f"seed window must be 2-D (L, F), got shape {window.shape}")
     preds = iterative_forecast_batch(model, window[None], horizon, close_col)
-    return ForecastTrace(horizon, preds[0], actual)
+    return ForecastTrace(horizon, preds[0])
 
 
 def _window_horizons(horizon, n_windows: int):
@@ -148,25 +137,11 @@ def iterative_forecast_batch(
     return preds
 
 
-def write_trace_csv(trace: ForecastTrace, path, scaler=None, price_feature="close") -> None:
-    """Serialize a trace: step, predicted_scaled, predicted_price, actual_price."""
-    from .data import scaler_inverse
-
-    pred_price = (
-        scaler_inverse(scaler, trace.predictions, price_feature) if scaler else None
-    )
-    actual_price = (
-        scaler_inverse(scaler, trace.actual, price_feature)
-        if scaler is not None and trace.actual is not None
-        else None
-    )
+def write_trace_csv(trace: ForecastTrace, path, scaler, price_feature: int) -> None:
+    """Serialize a trace as step, predicted_scaled, predicted_price, the price
+    read back through ``scaler``'s column ``price_feature``."""
+    prices = scaler_inverse(scaler, trace.predictions, price_feature)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("step,predicted_scaled,predicted_price,actual_price\n")
-        for i in range(trace.horizon):
-            cells = [
-                str(i + 1),
-                repr(float(trace.predictions[i])),
-                repr(float(pred_price[i])) if pred_price is not None else "",
-                repr(float(actual_price[i])) if actual_price is not None else "",
-            ]
-            fh.write(",".join(cells) + "\n")
+        fh.write("step,predicted_scaled,predicted_price\n")
+        for step, (pred, price) in enumerate(zip(trace.predictions, prices), start=1):
+            fh.write(f"{step},{float(pred)!r},{float(price)!r}\n")

@@ -41,7 +41,7 @@ from kanbench.bench import (
     save_results,
 )
 from kanbench.bspline import SplineSpec
-from kanbench.data import CLOSE, gen_synthetic, make_regime, scaler_fit
+from kanbench.data import CLOSE, gen_synthetic, make_regime, scaler_fit, write_csv
 from kanbench.kan import kan_init
 from kanbench.lstm import lstm_init
 from kanbench.numcore import make_rng
@@ -125,6 +125,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="anchor"):
             dataclasses.replace(tiny_config(), horizons=(20,))
 
+    def test_no_training_sample(self):
+        # 80 days, L=8: 72 samples, floor(0.01 * 72) = 0 of them for training
+        with pytest.raises(ValueError, match="cannot anchor horizon 2: .* leave 0 training"):
+            dataclasses.replace(tiny_config(), train_frac=0.01)
+
     def test_bad_horizons(self):
         with pytest.raises(ValueError, match="horizons"):
             dataclasses.replace(tiny_config(), horizons=(0,))
@@ -182,6 +187,12 @@ class TestValidation:
         ({"data": {"volatility": "x"}}, "volatility"),
         ({"data": {"drift": float("inf")}}, "drift"),
         ({"data": {"drift": "0.001"}}, "drift"),
+        # a CSV section's synthetic-only fields are checked as a synthetic one's
+        ({"data": {"source": "csv", "csv_path": "x.csv", "regime": "nope"}}, "regime"),
+        ({"data": {"source": "csv", "csv_path": "x.csv", "drift": "abc"}}, "drift"),
+        ({"data": {"source": "csv", "csv_path": "x.csv", "volatility": float("nan")}},
+         "volatility"),
+        ({"data": {"source": "csv", "csv_path": "x.csv", "days": 1}}, "days"),
     ])
     def test_bad_values_rejected_at_parse(self, payload, field, tmp_path):
         model = "lstm" if "lstm" in payload else "kan"
@@ -260,6 +271,33 @@ class TestPrepare:
         for i in (0, len(prepared.train) - 1):
             assert prepared.train.targets[i] == prepared.scaled[i + L, CLOSE]
 
+    @staticmethod
+    def csv_config(tmp_path, horizons, train_frac=0.8):
+        """A 30-row CSV and L=4: 26 samples, at 0.8 split 20 / 6."""
+        path = tmp_path / "prices.csv"
+        write_csv(gen_synthetic(make_regime("normal", 30, 3)), path)
+        return ExperimentConfig(model="kan", data=DataConfig(source="csv", csv_path=str(path)),
+                                lookback=4, horizons=horizons, train_frac=train_frac)
+
+    @pytest.mark.parametrize("train_frac,horizons,match", [
+        (0.95, (5,), "horizon 5: .* leave 24 training and 2 test"),
+        (0.02, (1,), "horizon 1: .* leave 0 training and 26 test"),
+    ], ids=["short_test_segment", "no_training_sample"])
+    def test_no_feasible_anchor_refused(self, tmp_path, train_frac, horizons, match):
+        cfg = self.csv_config(tmp_path, horizons, train_frac)
+        with pytest.raises(ValueError, match=f"series of 30 rows cannot anchor {match}"):
+            prepare(cfg)
+
+    def test_infeasible_horizon_beside_feasible_ones(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot anchor horizon 7"):
+            prepare(self.csv_config(tmp_path, (2, 7)))
+        # a test segment exactly as long as the largest horizon anchors it once
+        prepared = prepare(self.csv_config(tmp_path, (2, 6)))
+        short, long = _horizon_evals(StepAheadOracle(), prepared, (2, 6))
+        assert (short.n_anchors, long.n_anchors) == (5, 1)
+        assert math.isfinite(short.rmse) and math.isfinite(long.rmse)
+        assert len(long.sample_pred) == len(long.sample_actual) == 6
+
 
 class StepAheadOracle:
     """Predicts the previous close — transparent for walk-forward checks."""
@@ -319,12 +357,6 @@ class TestHorizonEval:
         full = (horizon + 40) - 2 - horizon - 5 + 1  # 34 eligible anchors
         assert full > 10
         assert summary.n_anchors == 10
-
-    def test_no_feasible_anchor_is_nan(self):
-        prepared = fabricate_prepared(n_rows=30, lookback=4, n_train=25)
-        summary = _horizon_evals(StepAheadOracle(), prepared, [5])[0]
-        assert summary.n_anchors == 0
-        assert math.isnan(summary.rmse)
 
 
 class RowCounter(StepAheadOracle):
@@ -391,12 +423,6 @@ class TestSharedRollout:
         shared = _horizon_evals(StepAheadOracle(), prepared, (7, 1, 7, 2))
         alone = [_horizon_evals(StepAheadOracle(), prepared, [h])[0] for h in (7, 1, 7, 2)]
         assert shared == alone
-
-    def test_infeasible_horizon_beside_feasible_ones(self):
-        prepared = fabricate_prepared(n_rows=30, lookback=4, n_train=20)
-        short, long = _horizon_evals(StepAheadOracle(), prepared, (2, 7))
-        assert short.n_anchors == 5 and math.isfinite(short.rmse)
-        assert long.n_anchors == 0 and math.isnan(long.rmse) and long.sample_pred == []
 
 
 class TestRunExperiment:
@@ -584,14 +610,16 @@ class TestComparisonTable:
         assert normal_h1_kan[0].config_label == "better-kan"
 
     def test_failed_experiment_excluded_from_best(self):
+        # a failure record has no horizons, as run_experiment makes it
         results = [
-            fake_result("kan", "normal", [(1, float("nan"))], failure="diverged"),
+            fake_result("kan", "normal", [], failure="diverged"),
             fake_result("kan", "normal", [(1, 0.03)]),
             fake_result("lstm", "normal", [(1, 0.02)]),
         ]
-        rows = comparison_table(results)
-        finite = [r for r in rows if math.isfinite(r.test_rmse)]
-        assert all(r.ratio == 0.03 / 0.02 for r in finite)
+        for best_only in (False, True):
+            rows = comparison_table(results, best_only=best_only)
+            assert [(r.model, r.test_rmse) for r in rows] == [("kan", 0.03), ("lstm", 0.02)]
+            assert all(r.ratio == 0.03 / 0.02 for r in rows)
 
 
 class TestRuntimeSummary:
@@ -636,6 +664,43 @@ class TestSerialization:
         back = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
         assert back.failure == result.failure
         assert math.isnan(back.test_rmse)
+
+    def test_saved_results_are_strict_json(self, tmp_path):
+        results = run_matrix([tiny_config("kan"), tiny_config("lstm", lr=1e200)])
+        assert results[1].failure is not None
+        path = tmp_path / "results.json"
+        save_results(results, path)
+
+        def no_constant(token):
+            raise AssertionError(f"results.json holds {token}")
+
+        records = json.loads(path.read_text(), parse_constant=no_constant)["results"]
+        assert records[1]["train_rmse"] is None and records[1]["test_rmse"] is None
+        assert math.isnan(load_results(path)[1].test_rmse)
+
+    @staticmethod
+    def record(**changes):
+        d = result_to_dict(fake_result("kan", "normal", [(1, 0.02), (2, 0.03)]))
+        d["horizons"][1].update(changes)
+        return d
+
+    @pytest.mark.parametrize("changes,field", [
+        ({"n_anchors": 0}, "n_anchors"),
+        ({"rmse": float("nan")}, "rmse"),
+        ({"rmse": None}, "rmse"),
+        ({"sample_pred": [0.5]}, "sample_pred"),
+        ({"sample_actual": [0.6] * 3}, "sample_actual"),
+    ])
+    def test_impossible_horizon_rejected(self, changes, field):
+        with pytest.raises(ValueError,
+                           match=rf"result kan-g3k2h8 \(seed 0\): horizons\[1\]\.{field}"):
+            result_from_dict(self.record(**changes))
+
+    def test_failure_carrying_horizons_rejected(self):
+        d = {**self.record(), "failure": "diverged"}
+        with pytest.raises(ValueError, match="failure record carries horizons"):
+            result_from_dict(d)
+        assert result_from_dict({**d, "horizons": []}).failure == "diverged"
 
 
 class TestEmitReport:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kanbench import bench
+from kanbench import bench, cli
 from kanbench.bench import CSV_REPORT_HEADER
 from kanbench.cli import dispatch
 from kanbench.data import load_csv
@@ -29,6 +29,14 @@ def tiny_experiment(model="kan", **overrides):
         cfg["lstm"] = {"layers": 1, "units": 4}
     cfg.update(overrides)
     return cfg
+
+
+def short_csv(tmp_path) -> str:
+    """A 300-row OHLCV CSV: at L=8 and a 0.8 split it has 59 test samples."""
+    path = str(tmp_path / "short.csv")
+    assert dispatch(["gen-data", "--regime", "normal", "--days", "300", "--seed", "3",
+                     "--out", path]) == 0
+    return path
 
 
 class TestModuleEntry:
@@ -136,10 +144,10 @@ class TestTrainForecastChain:
                          "--horizon", "5", "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "step,predicted_scaled,predicted_price,actual_price"
+        assert lines[0] == "step,predicted_scaled,predicted_price"
         assert len(lines) == 6
-        preds = [float(l.split(",")[1]) for l in lines[1:]]
-        assert all(np.isfinite(p) for p in preds)
+        cells = [[float(c) for c in l.split(",")] for l in lines[1:]]
+        assert all(len(row) == 3 and np.all(np.isfinite(row)) for row in cells)
 
     def test_forecast_deterministic(self, tmp_path):
         _, ckpt, _ = self.run_train(tmp_path)
@@ -147,6 +155,19 @@ class TestTrainForecastChain:
         dispatch(["forecast", "--checkpoint", str(ckpt), "--horizon", "3", "--out", str(a)])
         dispatch(["forecast", "--checkpoint", str(ckpt), "--horizon", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unanchorable_csv_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        csv_path = short_csv(tmp_path)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            tiny_experiment("kan", data={"source": "csv", "csv_path": csv_path},
+                            horizons=[1, 100])))
+        fitted = []
+        monkeypatch.setattr(cli, "fit", lambda *args: fitted.append(args))
+        assert dispatch(["train", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "m.json")]) == 2
+        assert not fitted
+        assert "series of 300 rows cannot anchor horizon 100" in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
@@ -219,6 +240,38 @@ class TestBenchmarkAndReport:
                          "--out-dir", str(tmp_path / "out")])
         assert code == 0  # matrix completes; failures are records, not crashes
         assert "FAILED" in capsys.readouterr().err
+
+    def test_unanchorable_csv_experiment_is_a_failure_record(self, tmp_path, capsys):
+        # 300 rows, L=8: 292 samples, 59 of them test; horizon 100 has no anchor
+        data = {"source": "csv", "csv_path": short_csv(tmp_path)}
+        path = self.matrix_path(tmp_path, [
+            tiny_experiment("kan", data=data),
+            tiny_experiment("lstm", data=data, horizons=[1, 100]),
+            tiny_experiment("lstm", data=data, horizons=[1, 59]),
+        ])
+        out_dir = tmp_path / "out"
+        assert dispatch(["benchmark", "--matrix", str(path), "--out-dir", str(out_dir)]) == 0
+        assert "FAILED lstm-1x4-linear: ValueError: series of 300 rows cannot anchor " \
+               "horizon 100" in capsys.readouterr().err
+        records = json.loads((out_dir / "results.json").read_text())["results"]
+        assert [r["failure"] is None for r in records] == [True, False, True]
+        assert "horizon 100" in records[1]["failure"] and records[1]["horizons"] == []
+        assert [[h["horizon"] for h in r["horizons"]] for r in records] == [[1, 2], [], [1, 59]]
+        assert all(h["n_anchors"] >= 1 for r in records for h in r["horizons"])
+
+    def test_report_rejects_a_record_no_run_makes(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        dispatch(["benchmark", "--matrix", str(self.matrix_path(tmp_path)),
+                  "--out-dir", str(out_dir)])
+        results = out_dir / "results.json"
+        payload = json.loads(results.read_text())
+        # an unanchorable horizon, as an older version saved it
+        payload["results"][1]["horizons"][1].update(
+            n_anchors=0, rmse=float("nan"), sample_pred=[], sample_actual=[])
+        results.write_text(json.dumps(payload))
+        assert dispatch(["report", "--in", str(results), "--format", "csv",
+                         "--out-dir", str(tmp_path / "re")]) == 2
+        assert "horizons[1].n_anchors" in capsys.readouterr().err
 
     def test_invalid_matrix_config_exits_2(self, tmp_path, capsys):
         bad = tiny_experiment("kan", horizons=[500])

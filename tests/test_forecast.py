@@ -165,12 +165,6 @@ class TestIterativeForecast:
         trace = iterative_forecast(lstm, window, horizon=4)
         assert np.all(trace.predictions == 0.0)
 
-    def test_actual_recorded(self):
-        window = rng_window(make_rng(5), 4, 6)
-        actual = np.array([0.5, 0.6])
-        trace = iterative_forecast(MeanCloseModel(CLOSE), window, 2, actual=actual)
-        assert np.array_equal(trace.actual, actual)
-
     def test_non_finite_aborts_with_step_number(self):
         window = rng_window(make_rng(6), 4, 6)
         with pytest.raises(RuntimeError, match="step 3"):
@@ -333,33 +327,18 @@ class TestPerWindowHorizons:
 
 
 class TestTrace:
-    def test_shape_and_finiteness_enforced(self):
-        with pytest.raises(ValueError):
-            ForecastTrace(3, np.ones(2), None)
-        with pytest.raises(ValueError, match="finite"):
-            ForecastTrace(2, np.array([0.1, np.nan]), None)
-        with pytest.raises(ValueError):
-            ForecastTrace(2, np.ones(2), np.ones(3))
-
     def test_write_trace_csv_round_trip(self, tmp_path):
         scaler = MinMaxScaler(
             [0.0, 0.0, 0.0, 100.0, 100.0, 0.0], [1.0, 1.0, 1.0, 300.0, 300.0, 1.0]
         )
-        trace = ForecastTrace(2, np.array([0.25, 0.5]), np.array([0.3, 0.4]))
+        trace = ForecastTrace(2, np.array([0.25, 0.5]))
         path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path, scaler=scaler)
+        write_trace_csv(trace, path, scaler, price_feature=CLOSE)
         lines = path.read_text().splitlines()
-        assert lines[0] == "step,predicted_scaled,predicted_price,actual_price"
+        assert lines[0] == "step,predicted_scaled,predicted_price"
         assert len(lines) == 3
         first = lines[1].split(",")
+        assert len(first) == 3
         assert int(first[0]) == 1
         assert float(first[1]) == 0.25
         assert float(first[2]) == pytest.approx(150.0, rel=1e-15)  # 100 + 0.25*200
-        assert float(first[3]) == pytest.approx(160.0, rel=1e-15)
-
-    def test_write_trace_csv_without_scaler(self, tmp_path):
-        trace = ForecastTrace(1, np.array([0.5]), None)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        lines = path.read_text().splitlines()
-        assert lines[1] == "1,0.5,,"
