@@ -10,12 +10,16 @@ degree-reduction identity over the degree k - 1 weights) and scatters them
 into the dense (points, G + k) result. The general Cox-de Boor recursion
 serves as the test oracle.
 
+A spec builds its knot line once, when it is made, so a call on a handful
+of points (one pseudo-row of a batch-1 rollout) costs little more than the
+arithmetic on them.
+
 Inputs are clamped to the domain before evaluation, so every spline is
 constant (with zero derivative) beyond its boundaries. This keeps iterative
 forecasting well-behaved when predictions drift slightly out of range.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +34,8 @@ class SplineSpec:
     degree: int
     domain_lo: float = 0.0
     domain_hi: float = 1.0
+    # the knot line, built once; not part of the spec's identity
+    _knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # both sizes index knots and basis columns, so only a true int will do
@@ -41,6 +47,10 @@ class SplineSpec:
             raise ValueError(
                 f"domain must satisfy lo < hi, got [{self.domain_lo}, {self.domain_hi}]"
             )
+        g, k = self.grid_size, self.degree
+        knots = self.domain_lo + (np.arange(g + 2 * k + 1) - k) * self.step
+        knots.flags.writeable = False
+        object.__setattr__(self, "_knots", knots)
 
     @property
     def n_basis(self) -> int:
@@ -51,9 +61,9 @@ class SplineSpec:
         return (self.domain_hi - self.domain_lo) / self.grid_size
 
     def knots(self) -> np.ndarray:
-        """Uniform knot vector with k-fold extension past each boundary."""
-        g, k = self.grid_size, self.degree
-        return self.domain_lo + (np.arange(g + 2 * k + 1) - k) * self.step
+        """Uniform knot vector with k-fold extension past each boundary
+        (read-only)."""
+        return self._knots
 
 
 def _locate(spec: SplineSpec, x):
@@ -68,11 +78,15 @@ def _locate(spec: SplineSpec, x):
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     check_finite("spline input", x)
-    xc = np.clip(x, spec.domain_lo, spec.domain_hi)
-    t = spec.knots()
+    # on finite input this is np.clip, without its per-call overhead
+    xc = np.maximum(x, spec.domain_lo)
+    np.minimum(xc, spec.domain_hi, out=xc)
     g, k = spec.grid_size, spec.degree
-    j = np.searchsorted(t[k + 1 : k + g], xc, side="right")
-    return x, j, (xc - t[k + j]) / spec.step
+    left = spec.knots()[k : k + g]  # each interval's left knot
+    j = np.searchsorted(left[1:], xc, side="right")
+    xc -= left[j]
+    xc /= spec.step
+    return x, j, xc
 
 
 def _local_weights(u: np.ndarray, degree: int) -> list[np.ndarray]:
@@ -80,11 +94,15 @@ def _local_weights(u: np.ndarray, degree: int) -> list[np.ndarray]:
 
     Entry r is the value of basis function j + r. On a uniform grid the
     Cox-de Boor step reduces to
-    w_d[r] = ((u + d - r) * w_{d-1}[r-1] + (r + 1 - u) * w_{d-1}[r]) / d.
+    w_d[r] = ((u + d - r) * w_{d-1}[r-1] + (r + 1 - u) * w_{d-1}[r]) / d,
+    which at d = 1 is [1 - u, u] exactly.
     """
-    w = [np.ones_like(u)]
-    for d in range(1, degree + 1):
-        nxt = [(1 - u) * w[0] / d]
+    if degree == 0:
+        return [np.ones_like(u)]
+    v = 1 - u
+    w = [v, u]
+    for d in range(2, degree + 1):
+        nxt = [v * w[0] / d]
         for r in range(1, d):
             nxt.append(((u + (d - r)) * w[r - 1] + ((r + 1) - u) * w[r]) / d)
         nxt.append(u * w[d - 1] / d)
@@ -96,9 +114,11 @@ def _scatter(spec: SplineSpec, j: np.ndarray, cols: list[np.ndarray]) -> np.ndar
     """(N, G + k) matrix holding cols[r] in column j + r of each row."""
     out = np.zeros((j.size, spec.n_basis))
     flat = out.reshape(-1)
-    start = np.arange(j.size) * spec.n_basis + j
-    for r, col in enumerate(cols):
-        flat[start + r] = col
+    at = np.arange(0, out.size, spec.n_basis)
+    at += j
+    for col in cols:
+        flat[at] = col
+        at += 1
     return out
 
 

@@ -7,17 +7,25 @@ Predictions are never clamped — spline-domain clamping already handles
 out-of-range inputs on the KAN side.
 
 A model sees its windows through ``model.encode``, which maps every row on
-its own, independent of the parameters. So a rollout keeps a tape of
-encoded rows per encoded array: the seed windows are encoded once, each
-step encodes only its one new pseudo-row per window, and each step passes
-the model views of L consecutive tape rows without copying, rebuilt as the
-encoding's own type so the model trusts them as it trusts ``encode``'s
-output. The tape holds at most L + min(H, L) - 1 rows, so its size does not
-grow with the horizon: when the next row would not fit, the window's last
-L - 1 rows slide to the front. The sequence model's encoding is the raw
-window; the spline network's is its first layer's silu and basis features,
-which hold only while that layer's ``SplineSpec`` stays as it was when they
-were made.
+its own, independent of the parameters. So a rollout encodes the seed
+windows once and each step only its one new pseudo-row per window. This
+module owns the rollout's rules once: the pseudo-row, the per-step
+finiteness check and the NaN-padded result. The steps themselves come from
+a generator that yields each step's predictions and takes the next encoded
+pseudo-rows by ``send``:
+
+- A model with a ``rollout_steps`` method supplies its own; the LSTM's
+  rolls the steps as a wavefront (see ``lstm``).
+- Any other model, the spline network among them, is rolled by the step
+  loop here. It keeps a tape of encoded rows per encoded array and passes
+  the model views of L consecutive tape rows without copying, rebuilt as
+  the encoding's own type so the model trusts them as it trusts
+  ``encode``'s output. The tape holds at most L + min(H, L) - 1 rows, so
+  its size does not grow with the horizon: when the next row would not
+  fit, the window's last L - 1 rows slide to the front. The spline
+  network's encoding is its first layer's silu and basis features, which
+  hold only while that layer's ``SplineSpec`` stays as it was when they
+  were made.
 
 Each window may have its own horizon, given in non-increasing order, so
 that one rollout serves several horizons: at step s only the prefix of
@@ -98,43 +106,57 @@ def iterative_forecast_batch(
     windows = np.asarray(seed_windows, dtype=np.float64)
     if windows.ndim != 3:
         raise ValueError(f"seed windows must be 3-D (B, L, F), got shape {windows.shape}")
-    n, lookback, _ = windows.shape
+    n = windows.shape[0]
     horizons, h_max = _window_horizons(horizon, n)
     close_col, adj_close_col = _close_columns(windows.shape[2], close_col)
     # windows still rolling at each step: a prefix, as horizons do not increase
     live = n - np.searchsorted(horizons[::-1], np.arange(h_max), side="right")
 
     encoded = model.encode(windows)
-    rows = lookback + min(h_max, lookback) - 1
-    tape = []
-    for seed in encoded:
-        t = np.empty((n, rows) + seed.shape[2:])
-        t[:, :lookback] = seed
-        tape.append(t)
+    rollout = getattr(model, "rollout_steps", None)
+    steps = rollout(encoded, live) if rollout else _tape_steps(model, encoded, live)
     row = windows[:, -1, :].copy()  # the raw last row, carried into each pseudo-row
     preds = np.full((n, h_max), np.nan)
-    start = 0  # the current window is tape rows start .. start + L - 1
+    new = None
     for step in range(h_max):
-        m = live[step]
-        p = model.predict_window_batch(
-            type(encoded)(t[:m, start : start + lookback] for t in tape))
+        p = steps.send(new)
         if not np.isfinite(p).all():
             raise RuntimeError(f"non-finite prediction at step {step + 1}")
-        preds[:m, step] = p
+        preds[: live[step], step] = p
         if step + 1 == h_max:
             break
         m = live[step + 1]
         row[:m, close_col] = p[:m]
         if adj_close_col is not None:
             row[:m, adj_close_col] = p[:m]
+        new = model.encode(row[:m, None, :])
+    return preds
+
+
+def _tape_steps(model, encoded, live):
+    """The step loop over an encoded tape, as a generator: it yields step
+    s's predictions from the first live[s] windows, then takes the next
+    step's encoded pseudo-rows by ``send``."""
+    n, lookback = encoded[0].shape[:2]
+    h_max = len(live)
+    rows = lookback + min(h_max, lookback) - 1
+    tape = []
+    for seed in encoded:
+        t = np.empty((n, rows) + seed.shape[2:])
+        t[:, :lookback] = seed
+        tape.append(t)
+    start = 0  # the current window is tape rows start .. start + L - 1
+    for step in range(h_max):
+        new = yield model.predict_window_batch(
+            type(encoded)(t[: live[step], start : start + lookback] for t in tape))
+        m = live[step + 1]
         start += 1
         if start + lookback > rows:  # tape full: slide the window's L - 1 kept rows to the front
             for t in tape:
                 t[:m, : lookback - 1] = t[:m, start : start + lookback - 1]
             start = 0
-        for t, new in zip(tape, model.encode(row[:m, None, :])):
-            t[:m, start + lookback - 1] = new[:, 0]
-    return preds
+        for t, e in zip(tape, new):
+            t[:m, start + lookback - 1] = e[:, 0]
 
 
 def write_trace_csv(trace: ForecastTrace, path, scaler, price_feature: int) -> None:

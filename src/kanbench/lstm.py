@@ -25,6 +25,13 @@ layer's weight and bias gradients are then one contraction over its own
 live waves. The forward-only pass keeps no cache and updates one column
 buffer in place.
 
+A rollout runs the same waves across its steps (``rollout_steps``): step
+s's window starts n waves after step s - 1's, whose prediction it first
+reads at its own wave L - 1, so the windows in flight share each wave's
+stacked matmul and gate activations and H steps take n·(H - 1) + L + n - 1
+waves instead of H·(L + n - 1). Each window keeps the matmul width the step
+loop would give it, so its prediction is the step loop's bit for bit.
+
 ``encode`` scans its windows for finiteness once and returns them as an
 ``Encoded`` 1-tuple; as on the spline side, such a tuple, and row selections
 or slices of it, are not scanned again.
@@ -129,6 +136,12 @@ class LstmNetwork:
         trusted = isinstance(windows, Encoded)
         return lstm_forward_batch(self, _windows(windows), trusted=trusted)
 
+    def rollout_steps(self, encoded, live):
+        """A rollout of ``encode``d seed windows for ``forecast``, as a
+        generator: it yields step s's predictions for the first live[s]
+        windows, then takes the next step's encoded pseudo-rows by ``send``."""
+        return _rollout_waves(self, encoded, live)
+
 
 def _windows(inputs):
     """Raw (B, L, F) windows, unwrapped from encoded input (a 1-tuple)."""
@@ -228,16 +241,30 @@ def _run_waves(net: LstmNetwork, x: np.ndarray, keep_cache: bool):
             cols[k, total:-1] = xs[w]
         z = gates[k]
         np.matmul(waves.block, cols[k], out=z.reshape(4 * total, batch))
-        ifo, g = z[:3, a:b], z[3, a:b]
-        sigmoid(ifo, out=ifo)
-        np.tanh(g, out=g)
-        i, f, o = ifo
-        c = np.multiply(f, cs[k, a:b], out=cs[k + nxt, a:b])
-        c += i * g
-        tc = np.tanh(c, out=tanh_c[k, a:b])
-        np.multiply(o, tc, out=cols[k + nxt, a:b])
+        _cell(z[:, a:b], cs[k, a:b], cs[k + nxt, a:b], tanh_c[k, a:b], cols[k + nxt, a:b])
     top = cols[-1, : net.layers[-1].hidden]
     return top, ((waves, cols, cs, gates, tanh_c) if keep_cache else None)
+
+
+def _cell(z, c, c_out, tc_out, h_out):
+    """The cell update on gate pre-activations ``z``, i, f, o, g along its
+    first axis: one sigmoid over i, f, o and one tanh over g, in place, then
+    c' = f*c + i*g into ``c_out`` (which may be ``c``), tanh(c') into
+    ``tc_out`` (which holds i*g before that) and h' = o*tanh(c') into
+    ``h_out``."""
+    ifo, g = z[:3], z[3]
+    sigmoid(ifo, out=ifo)
+    np.tanh(g, out=g)
+    i, f, o = ifo
+    c = np.multiply(f, c, out=c_out)
+    c += np.multiply(i, g, out=tc_out)
+    np.multiply(o, np.tanh(c, out=tc_out), out=h_out)
+
+
+def _head(net: LstmNetwork, top: np.ndarray) -> np.ndarray:
+    """Predictions from the top layer's (hidden, B) final state."""
+    pre = net.head @ top
+    return np.tanh(pre) if net.head_activation == "tanh" else pre
 
 
 def _check_batch(net: LstmNetwork, x: np.ndarray, trusted: bool) -> np.ndarray:
@@ -259,8 +286,87 @@ def lstm_forward_batch(net: LstmNetwork, inputs, *, trusted: bool = False) -> np
     windows come from ``encode`` and skip the finiteness scan."""
     x = _check_batch(net, inputs, trusted)
     top, _ = _run_waves(net, x, keep_cache=False)
-    pre = net.head @ top
-    return np.tanh(pre) if net.head_activation == "tanh" else pre
+    return _head(net, top)
+
+
+class _Phase:
+    """The in-flight windows of one width phase of a rollout: the steps
+    ``first`` .. ``stop`` - 1, which roll equally many windows. Each slot
+    holds one step's column, c, tanh(c) and gate buffers; step s uses slot
+    (s - first) mod slots, and ``owner`` names the step in each slot."""
+
+    def __init__(self, first: int, stop: int, width: int, slots: int, waves: _Waves):
+        total = len(waves.block) // 4
+        self.first, self.stop = first, stop
+        self.owner = np.arange(first, first + slots)
+        self.cols = np.zeros((slots, waves.block.shape[1], width))
+        self.cols[:, -1] = 1.0
+        self.cs = np.zeros((slots, total, width))
+        self.tanh_c = np.empty((slots, total, width))
+        self.z = np.empty((slots, 4, total, width))
+
+    def slot(self, step: int) -> int:
+        return (step - self.first) % len(self.owner)
+
+
+def _rollout_waves(net: LstmNetwork, encoded, live):
+    """Generator behind ``LstmNetwork.rollout_steps``: the step wavefront.
+
+    Rollout step s is the stack run over the window of rows s .. s + L - 1,
+    where row L + s - 1 (s > 0) is the pseudo-row made from step s - 1's
+    predictions. Step s starts n waves after step s - 1 (n layers), so it
+    reads that pseudo-row at its local wave L - 1, one wave after the
+    prediction exists, and H steps take n·(H - 1) + L + n - 1 waves. Every
+    in-flight step of a width phase runs in one stacked matmul per wave,
+    and every row of it through one sigmoid and one tanh: a slot's matmul
+    keeps the width (live[s] columns) that lstm_forward_batch gives that
+    window, so each prediction equals the step loop's bit for bit. Rows of
+    layers that have not started in the newest step are reset to h = c = 0
+    after each wave; layers that have finished compute finite values that no
+    live layer reads. The rows live in a ring of L rows, row r at r mod L.
+    """
+    x = _check_batch(net, _windows(encoded), trusted=isinstance(encoded, Encoded))
+    steps = x.shape[1]
+    n = len(net.layers)
+    waves = _waves(net.layers, steps)
+    total = len(waves.block) // 4
+    top = net.layers[-1].hidden
+    span = steps + n - 1  # waves of one rollout step
+    slots = -(-span // n)  # the most steps in flight at once
+    ring = x.transpose(1, 2, 0).copy()  # (L, in_dim, B)
+    h_max = len(live)
+    cuts = [0, *(np.flatnonzero(np.diff(live)) + 1), h_max]
+    bounds = iter(zip(cuts, cuts[1:]))
+    flight = []  # phases with steps in flight, oldest first
+    for wave in range(n * (h_max - 1) + span):
+        newest, front = divmod(wave, n)  # the newest step runs its layer ``front``
+        if front == 0 and newest < h_max:  # step ``newest`` starts from h = c = 0
+            if not flight or newest == flight[-1].stop:
+                first, stop = next(bounds)
+                flight.append(_Phase(first, stop, live[first], min(slots, stop - first), waves))
+            phase = flight[-1]
+            j = phase.slot(newest)
+            phase.owner[j] = newest
+            phase.cols[j, :total] = 0.0
+            phase.cs[j] = 0.0
+        for phase in flight:
+            rows = (wave - (n - 1) * phase.owner) % steps  # step s reads row wave - (n-1)·s
+            phase.cols[:, total:-1] = ring[rows, :, : phase.cols.shape[2]]
+            np.matmul(waves.block, phase.cols, out=phase.z.reshape(len(phase.z), 4 * total, -1))
+            _cell(phase.z.swapaxes(0, 1), phase.cs, phase.cs, phase.tanh_c, phase.cols[:, :total])
+        if front < n - 1 and newest < h_max:  # layers above the front have not started
+            phase = flight[-1]
+            j = phase.slot(newest)
+            phase.cols[j, : waves.pos[front]] = 0.0
+            phase.cs[j, : waves.pos[front]] = 0.0
+        done, off = divmod(wave - span + 1, n)
+        if done < 0 or off:
+            continue
+        phase = flight[0]
+        new = yield _head(net, phase.cols[phase.slot(done), :top])
+        if done + 1 == phase.stop:
+            flight.pop(0)
+        ring[done % steps, :, : live[done + 1]] = _windows(new)[:, 0].T
 
 
 def _backward_waves(layers: list[LstmLayer], cache, dh_top: np.ndarray):

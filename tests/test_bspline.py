@@ -1,11 +1,15 @@
 """B-spline basis: oracle checks against a naive recursive evaluator and
-the vectorised Cox-de Boor recursion, partition of unity, local support,
-boundary clamping, and derivatives."""
+the vectorised Cox-de Boor recursion, the earlier uniform-grid kernel as a
+bit-exact oracle, partition of unity, local support, boundary clamping, and
+derivatives."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kanbench import bspline
 from kanbench.bspline import SplineSpec, basis_grad_matrix, basis_matrix
 from kanbench.numcore import make_rng
 
@@ -66,6 +70,69 @@ def cox_de_boor_grad(spec, x):
     return grad
 
 
+def kernel_locate(spec, x):
+    """The uniform-grid kernel as first written, which rebuilt the knot line
+    and clipped on every call: it must agree with the package bit for bit."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    xc = np.clip(x, spec.domain_lo, spec.domain_hi)
+    g, k = spec.grid_size, spec.degree
+    t = spec.domain_lo + (np.arange(g + 2 * k + 1) - k) * spec.step
+    j = np.searchsorted(t[k + 1 : k + g], xc, side="right")
+    return x, j, (xc - t[k + j]) / spec.step
+
+
+def kernel_local_weights(u, degree):
+    w = [np.ones_like(u)]
+    for d in range(1, degree + 1):
+        nxt = [(1 - u) * w[0] / d]
+        for r in range(1, d):
+            nxt.append(((u + (d - r)) * w[r - 1] + ((r + 1) - u) * w[r]) / d)
+        nxt.append(u * w[d - 1] / d)
+        w = nxt
+    return w
+
+
+def kernel_scatter(spec, j, cols):
+    out = np.zeros((j.size, spec.n_basis))
+    flat = out.reshape(-1)
+    start = np.arange(j.size) * spec.n_basis + j
+    for r, col in enumerate(cols):
+        flat[start + r] = col
+    return out
+
+
+def kernel_basis(spec, x):
+    _, j, u = kernel_locate(spec, x)
+    return kernel_scatter(spec, j, kernel_local_weights(u, spec.degree))
+
+
+def kernel_basis_grad(spec, x):
+    x, j, u = kernel_locate(spec, x)
+    k = spec.degree
+    lower = kernel_local_weights(u, k - 1)
+    outside = (x < spec.domain_lo) | (x > spec.domain_hi)
+    scale = np.where(outside, 0.0, 1.0 / spec.step)
+    cols = [-lower[0] * scale]
+    cols += [(lower[r - 1] - lower[r]) * scale for r in range(1, k)]
+    cols.append(lower[k - 1] * scale)
+    return kernel_scatter(spec, j, cols)
+
+
+def oracle_points(spec, rng):
+    """Interior points, every knot (the extension knots lie outside), both
+    ends, and points outside the domain."""
+    lo, hi = spec.domain_lo, spec.domain_hi
+    width = hi - lo
+    return np.concatenate([
+        rng.uniform(lo, hi, size=60),
+        spec.knots(),
+        [lo, hi, lo - 0.3 * width, hi + 0.3 * width, lo - 5.0, hi + 5.0],
+    ])
+
+
+DOMAINS = [(0.0, 1.0), (-0.7, 1.9), (-3.0, -1.0)]
+
+
 class TestSplineSpec:
     def test_knot_layout(self):
         spec = SplineSpec(grid_size=4, degree=2)
@@ -106,6 +173,25 @@ class TestSplineSpec:
         with pytest.raises(ValueError):
             SplineSpec(**kwargs)
 
+    def test_knot_line_is_built_once_and_read_only(self):
+        spec = SplineSpec(4, 2, -1.0, 3.0)
+        assert spec.knots() is spec.knots()
+        with pytest.raises(ValueError):
+            spec.knots()[0] = 5.0
+
+    def test_cached_grid_is_not_part_of_the_identity(self):
+        a, b = SplineSpec(4, 2, -1.0, 3.0), SplineSpec(4, 2, -1.0, 3.0)
+        assert a == b and hash(a) == hash(b) and a.knots() is not b.knots()
+        assert repr(a) == "SplineSpec(grid_size=4, degree=2, domain_lo=-1.0, domain_hi=3.0)"
+        assert SplineSpec(4, 2) != SplineSpec(5, 2)
+        assert len({a, b, SplineSpec(5, 2)}) == 2
+        # replace builds a new spec, so its grid follows the new fields
+        wider = dataclasses.replace(a, grid_size=8, domain_hi=7.0)
+        assert wider == SplineSpec(8, 2, -1.0, 7.0)
+        assert np.array_equal(wider.knots(), -1.0 + (np.arange(13) - 2) * 1.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(a, _knots=np.zeros(9))
+
 
 class TestBasisAgainstNaiveOracle:
     @pytest.mark.parametrize("grid_size,degree", [(1, 1), (3, 2), (5, 3), (8, 4), (10, 5)])
@@ -138,32 +224,21 @@ class TestBasisAgainstNaiveOracle:
 class TestBasisAgainstCoxDeBoor:
     """The uniform-grid kernel against the general recursion on the same knots."""
 
-    @pytest.mark.parametrize("domain", [(0.0, 1.0), (-0.7, 1.9), (-3.0, -1.0)])
+    @pytest.mark.parametrize("domain", DOMAINS)
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
     def test_values_and_gradients_match(self, domain, degree):
-        lo, hi = domain
+        # to rounding against the recursion, and bit for bit against the
+        # first uniform-grid kernel
         rng = make_rng(31 * degree)
         for grid_size in range(1, 11):
-            spec = SplineSpec(grid_size, degree, lo, hi)
-            width = hi - lo
-            # interior points, every knot (the extension knots lie outside),
-            # both ends, and points outside the domain
-            x = np.concatenate(
-                [
-                    rng.uniform(lo, hi, size=60),
-                    spec.knots(),
-                    [lo, hi, lo - 0.3 * width, hi + 0.3 * width, lo - 5.0, hi + 5.0],
-                ]
-            )
+            spec = SplineSpec(grid_size, degree, *domain)
+            x = oracle_points(spec, rng)
+            values, grads = basis_matrix(spec, x), basis_grad_matrix(spec, x)
+            np.testing.assert_allclose(values, cox_de_boor(spec, x, degree), rtol=0, atol=1e-13)
             np.testing.assert_allclose(
-                basis_matrix(spec, x), cox_de_boor(spec, x, degree), rtol=0, atol=1e-13
-            )
-            np.testing.assert_allclose(
-                basis_grad_matrix(spec, x),
-                cox_de_boor_grad(spec, x),
-                rtol=0,
-                atol=1e-13 / spec.step,
-            )
+                grads, cox_de_boor_grad(spec, x), rtol=0, atol=1e-13 / spec.step)
+            assert np.array_equal(values, kernel_basis(spec, x))
+            assert np.array_equal(grads, kernel_basis_grad(spec, x))
 
     def test_interior_knot_takes_the_interval_it_starts(self):
         # The knot lo + 7 * step, about 1.575, is 1.5749999999999995 in floats.
@@ -182,13 +257,19 @@ class TestBasisAgainstCoxDeBoor:
         assert basis_matrix(spec, []).shape == (0, spec.n_basis)
         assert basis_grad_matrix(spec, np.empty(0)).shape == (0, spec.n_basis)
 
-    def test_non_finite_input_rejected(self):
+    def test_non_finite_input_rejected(self, monkeypatch):
+        # the one finiteness rule, before the clamp could hide a NaN or an inf
+        seen = []
+        scan = bspline.check_finite
+        monkeypatch.setattr(bspline, "check_finite",
+                            lambda what, *arrays: seen.append(what) or scan(what, *arrays))
         spec = SplineSpec(4, 3)
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^spline input must be finite$"):
                 basis_matrix(spec, [0.5, bad])
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="^spline input must be finite$"):
                 basis_grad_matrix(spec, [bad])
+        assert seen == ["spline input"] * 6
 
 
 class TestBasisProperties:

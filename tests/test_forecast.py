@@ -1,12 +1,13 @@
 """Iterative forecasting: manual chaining oracle, the former
 concatenate-and-slide rollout as a bit-exact reference for the encoded
-tape (also past the point where the bounded tape slides), prefix
-consistency, row independence of batched rollouts, per-window horizons,
-pseudo-row column handling, failure behavior."""
+tape (also past the point where the bounded tape slides) and for the LSTM's
+step wavefront, prefix consistency, row independence of batched rollouts,
+per-window horizons, pseudo-row column handling, failure behavior."""
 
 import numpy as np
 import pytest
 
+from kanbench import lstm
 from kanbench.bspline import SplineSpec
 from kanbench.data import ADJ_CLOSE, CLOSE, MinMaxScaler
 from kanbench.forecast import (
@@ -17,7 +18,7 @@ from kanbench.forecast import (
 )
 from kanbench.kan import kan_init
 from kanbench.lstm import lstm_init
-from kanbench.numcore import make_rng
+from kanbench.numcore import make_rng, sigmoid
 
 
 class RawWindows:
@@ -88,6 +89,33 @@ def reference_rollout(model, seed_windows, horizon, close_col, adj_close_col):
             rows[:, adj_close_col] = p
         windows = np.concatenate([windows[:, 1:, :], rows[:, None, :]], axis=1)
     return preds
+
+
+def prefix_reference_rollout(model, seed_windows, horizons, close_col, adj_close_col):
+    """``reference_rollout`` with one non-increasing horizon per window: at
+    step s only the windows whose horizon exceeds s are predicted, as one
+    batch, and the rest of their row is NaN."""
+    windows = np.array(seed_windows, dtype=np.float64)
+    preds = np.full((len(windows), horizons[0]), np.nan)
+    for step in range(horizons[0]):
+        windows = windows[: int(np.sum(np.asarray(horizons) > step))]
+        p = model.predict_window_batch(windows)
+        preds[: len(p), step] = p
+        rows = windows[:, -1, :].copy()
+        rows[:, close_col] = p
+        if adj_close_col is not None:
+            rows[:, adj_close_col] = p
+        windows = np.concatenate([windows[:, 1:, :], rows[:, None, :]], axis=1)
+    return preds
+
+
+class StepLoop:
+    """A model seen without its own rollout, so ``iterative_forecast_batch``
+    rolls it through the step loop over the encoded tape."""
+
+    def __init__(self, model):
+        self.encode = model.encode
+        self.predict_window_batch = model.predict_window_batch
 
 
 class TestIterativeForecast:
@@ -324,6 +352,89 @@ class TestPerWindowHorizons:
         windows = np.full((3, 4, 1), 0.5)
         with pytest.raises(ValueError, match=match):
             iterative_forecast_batch(MeanCloseModel(0), windows, horizon)
+
+
+def biased_lstm(n_features, hidden, layers, seed, head="linear"):
+    """An initialised LSTM with random biases: with lstm_init's zero i and g
+    biases, a layer that runs on an all-zero column stays at h = c = 0, which
+    would hide a layer started too early."""
+    net = lstm_init(n_features, hidden, layers, make_rng(seed), head)
+    rng = make_rng(seed + 1)
+    for layer in net.layers:
+        layer.b[:] = rng.normal(scale=0.5, size=layer.b.shape)
+    return net
+
+
+class TestStepWavefront:
+    """The LSTM rolls as a step wavefront: step s starts n waves after step
+    s - 1, so H steps of an n-layer stack over L rows take n·(H - 1) + L + n - 1
+    waves instead of H·(L + n - 1), with every prediction as the step loop's."""
+
+    @pytest.mark.parametrize("horizon", [1, 2, 37, 61])
+    @pytest.mark.parametrize("n_windows", [1, 5])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_equals_reference_rollout_bit_for_bit(self, layers, n_windows, horizon):
+        net = biased_lstm(6, 5, layers, 60 + layers)
+        windows = make_rng(61).uniform(0.1, 0.9, size=(n_windows, 8, 6))
+        want = reference_rollout(net, windows, horizon, CLOSE, ADJ_CLOSE)
+        assert np.array_equal(iterative_forecast_batch(net, windows, horizon), want)
+
+    @pytest.mark.parametrize("lookback", [1, 2, 3])
+    @pytest.mark.parametrize("layers", [2, 3])
+    def test_windows_shorter_than_the_stack(self, layers, lookback):
+        # every wave of a step is then a ramp wave with some layer idle
+        net = biased_lstm(1, 4, layers, 62, head="tanh")
+        windows = make_rng(63).uniform(0.1, 0.9, size=(3, lookback, 1))
+        want = reference_rollout(net, windows, 23, 0, None)
+        assert np.array_equal(iterative_forecast_batch(net, windows, 23), want)
+
+    @pytest.mark.parametrize("horizons", [
+        [40, 7, 7, 2, 1, 1], [5, 5, 3, 3, 3, 1], [2, 1], [9, 9, 6, 2, 1], [3, 3, 3]])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_per_window_horizons_equal_the_prefix_loop_bit_for_bit(self, layers, horizons):
+        # each width phase keeps the matmul width the step loop gives it
+        net = biased_lstm(6, 5, layers, 64 + layers)
+        windows = make_rng(65).uniform(0.1, 0.9, size=(len(horizons), 6, 6))
+        want = prefix_reference_rollout(net, windows, horizons, CLOSE, ADJ_CLOSE)
+        got = iterative_forecast_batch(net, windows, horizons)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got, iterative_forecast_batch(StepLoop(net), windows, horizons),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_one_sigmoid_call_per_wave(self, monkeypatch, layers):
+        calls = []
+
+        def counted(x, **kwargs):
+            calls.append(np.size(x))
+            return sigmoid(x, **kwargs)
+
+        monkeypatch.setattr(lstm, "sigmoid", counted)
+        lookback, horizon = 7, 30
+        net = lstm_init(6, hidden=4, n_layers=layers, rng=make_rng(66))
+        windows = make_rng(67).uniform(0.1, 0.9, size=(2, lookback, 6))
+        iterative_forecast_batch(net, windows, horizon)
+        assert len(calls) == layers * (horizon - 1) + lookback + layers - 1
+
+    def test_non_finite_prediction_raises_at_its_step(self, monkeypatch):
+        head = lstm._head
+        calls = []
+
+        def fails_third(net, top):
+            calls.append(1)
+            p = head(net, top)
+            return np.full_like(p, np.nan) if len(calls) == 3 else p
+
+        monkeypatch.setattr(lstm, "_head", fails_third)
+        net = lstm_init(6, hidden=4, n_layers=2, rng=make_rng(68))
+        windows = make_rng(69).uniform(0.1, 0.9, size=(3, 5, 6))
+        before = windows.copy()
+        for model in (net, StepLoop(net)):
+            calls.clear()
+            with pytest.raises(RuntimeError, match="^non-finite prediction at step 3$"):
+                iterative_forecast_batch(model, windows, [6, 4, 4])
+            assert len(calls) == 3
+        assert np.array_equal(windows, before)
 
 
 class TestTrace:
