@@ -236,7 +236,13 @@ def kan_backward(net: KanNetwork, silu_x, basis, targets, *, trusted: bool = Fal
             shape = (xin.shape[0], layer.in_dim, layer.spec.n_basis)
             dphi = basis_grad_matrix(layer.spec, xin.reshape(-1)).reshape(shape)
             w = (delta @ layer.coef.reshape(layer.out_dim, -1)).reshape(shape)
-            delta = (delta @ layer.base) * silu_grad(xin, s) + np.sum(w * dphi, axis=2)
+            # np.sum(w * dphi, axis=2) as column adds in the same order: the
+            # same bits, without a reduction's cost over so short an axis
+            p = w * dphi
+            dsum = p[..., 0].copy()
+            for j in range(1, shape[2]):
+                dsum += p[..., j]
+            delta = (delta @ layer.base) * silu_grad(xin, s) + dsum
     return loss, np.concatenate([a.ravel() for pair in zip(coef_grads, base_grads) for a in pair])
 
 

@@ -13,17 +13,24 @@ reads the top layer's final hidden state.
 The stack runs as a wavefront (Appleyard et al., arXiv:1604.01946): at wave
 w, layer l runs step w - l, so n layers over L steps take L + n - 1 waves
 instead of n·L layer-steps. Each wave is one matmul of a block gate matrix,
-built from every layer's ``w`` and ``b`` on each call, by the column [h of
+filled from every layer's ``w`` and ``b`` on each call, by the column [h of
 every layer; x; 1], then one sigmoid over the i, f, o rows and one tanh over
 the g rows of the layers live at that wave, and the c and h updates on
 those rows. Streams are time-major with the batch last, so every gate block
 is a contiguous run of rows. Gradients come from full BPTT, not truncation:
 the training pass stacks the columns, c, the gate activations and tanh(c)
-per wave; the reverse loop forms every layer's gate deltas at once, and one
-matmul by the block's transposed h columns gives every layer's dh. Each
-layer's weight and bias gradients are then one contraction over its own
-live waves. The forward-only pass keeps no cache and updates one column
-buffer in place.
+per wave; the reverse loop forms every layer's gate deltas at once, over
+the activations, and one matmul by the block's transposed h columns gives
+every layer's dh. Each layer's weight and bias gradients are then one
+contraction over its own live waves. The forward-only pass keeps no cache
+and updates one column buffer in place.
+
+The training pass runs in a workspace that the network keeps for its last
+batch shape (B, L) and stack: the block, its transposed h columns, the
+stacked cache, dh, dc and every wave's views into them, built once. A new
+batch shape (an epoch's shorter last minibatch) replaces it, inference drops
+it (``train`` predicts after every epoch), and copies and pickles leave it
+out. Networks trained in parallel threads each use their own.
 
 A rollout runs the same waves across its steps (``rollout_steps``): step
 s's window starts n waves after step s - 1's, whose prediction it first
@@ -82,6 +89,10 @@ class LstmNetwork:
     head: np.ndarray  # (hidden,), no bias
     head_activation: str = "linear"
 
+    # (key, _Workspace) of the last training call: not a field, and left out
+    # of copies and pickles, whose copied views would detach from its buffers
+    _workspace = None
+
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least one layer")
@@ -95,6 +106,11 @@ class LstmNetwork:
             )
         if self.head_activation not in HEAD_ACTIVATIONS:
             raise ValueError(f"unknown head_activation {self.head_activation!r}")
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_workspace", None)
+        return state
 
     @property
     def input_dim(self) -> int:
@@ -133,6 +149,8 @@ class LstmNetwork:
         return lstm_loss_and_grad(self, _windows(inputs), targets, trusted=trusted)
 
     def predict_window_batch(self, windows) -> np.ndarray:
+        """Predictions for a batch of windows; drops the training workspace."""
+        self._workspace = None
         trusted = isinstance(windows, Encoded)
         return lstm_forward_batch(self, _windows(windows), trusted=trusted)
 
@@ -140,6 +158,7 @@ class LstmNetwork:
         """A rollout of ``encode``d seed windows for ``forecast``, as a
         generator: it yields step s's predictions for the first live[s]
         windows, then takes the next step's encoded pseudo-rows by ``send``."""
+        self._workspace = None
         return _rollout_waves(self, encoded, live)
 
 
@@ -193,69 +212,73 @@ class _Waves(NamedTuple):
     block: np.ndarray  # (4S, S + in_dim + 1)
     pos: list[int]  # first row of each layer in a run; layer 0 is last
     live: list[tuple[int, int]]  # (first, stop) row of the live layers, per wave
+    places: list  # each layer's (w, b) in ``block``, views shaped (4, hidden, ...)
+
+    def fill(self, layers: list[LstmLayer]) -> None:
+        """Write each layer's ``w`` and ``b``, as they are now, into the block."""
+        for (w, b), layer in zip(self.places, layers):
+            w[...] = layer.w.reshape(w.shape)
+            b[...] = layer.b.reshape(b.shape)
 
 
 def _waves(layers: list[LstmLayer], steps: int) -> _Waves:
     """Build the block from each layer's ``w`` and ``b`` as they are now."""
     total = sum(l.hidden for l in layers)
     block = np.zeros((4, total, total + layers[0].in_dim + 1))
-    pos, r = [], total
+    pos, places, r = [], [], total
     for layer in layers:
         r -= layer.hidden
         pos.append(r)
-        block[:, r : r + layer.hidden, r : r + layer.hidden + layer.in_dim] = (
-            layer.w.reshape(4, layer.hidden, -1))
-        block[:, r : r + layer.hidden, -1] = layer.b.reshape(4, -1)
+        places.append((block[:, r : r + layer.hidden, r : r + layer.hidden + layer.in_dim],
+                       block[:, r : r + layer.hidden, -1]))
     top = len(layers) - 1
     live = []
     for w in range(steps + top):
         lo = max(0, w - steps + 1)
         live.append((pos[min(w, top)], pos[lo] + layers[lo].hidden))
-    return _Waves(block.reshape(4 * total, -1), pos, live)
+    waves = _Waves(block.reshape(4 * total, -1), pos, live, places)
+    waves.fill(layers)
+    return waves
 
 
-def _run_waves(net: LstmNetwork, x: np.ndarray, keep_cache: bool):
-    """Push a (B, L, in_dim) batch through the stack, every layer per wave.
-
-    Returns the top layer's final (hidden, B) state and, with keep_cache, the
-    waves and their stacked BPTT cache (columns, c, gates, tanh_c): slot w
-    holds wave w's input column and c, and its new h and c go to slot w + 1.
-    Without the cache one slot is updated in place. Only a wave's live rows
-    are activated and written: layers not yet started keep h = c = 0, and a
-    finished layer's last h is read once more, by the layer above.
-    """
+def _run_waves(net: LstmNetwork, x: np.ndarray) -> np.ndarray:
+    """Push a (B, L, in_dim) batch through the stack, every layer per wave,
+    and return the top layer's final (hidden, B) state. One column, c and
+    gate buffer is updated in place; only a wave's live rows are activated
+    and written: layers not yet started keep h = c = 0, and a finished
+    layer's last h is read once more, by the layer above."""
     batch, steps, _ = x.shape
     waves = _waves(net.layers, steps)
     total = len(waves.block) // 4
-    slots = len(waves.live) if keep_cache else 1
-    nxt = 1 if keep_cache else 0
-    cols = np.zeros((slots + nxt, waves.block.shape[1], batch))
-    cols[:, -1] = 1.0
-    cs = np.zeros((slots + nxt, total, batch))
-    gates = np.empty((slots, 4, total, batch))
-    tanh_c = np.empty((slots, total, batch))
+    cols = np.zeros((waves.block.shape[1], batch))
+    cols[-1] = 1.0
+    cs = np.zeros((total, batch))
+    z = np.empty((4, total, batch))
+    tanh_c = np.empty((total, batch))
     xs = x.transpose(1, 2, 0)
     for w, (a, b) in enumerate(waves.live):
-        k = w if keep_cache else 0
         if w < steps:
-            cols[k, total:-1] = xs[w]
-        z = gates[k]
-        np.matmul(waves.block, cols[k], out=z.reshape(4 * total, batch))
-        _cell(z[:, a:b], cs[k, a:b], cs[k + nxt, a:b], tanh_c[k, a:b], cols[k + nxt, a:b])
-    top = cols[-1, : net.layers[-1].hidden]
-    return top, ((waves, cols, cs, gates, tanh_c) if keep_cache else None)
+            cols[total:-1] = xs[w]
+        np.matmul(waves.block, cols, out=z.reshape(4 * total, batch))
+        _cell(*_gates(z[:, a:b]), cs[a:b], cs[a:b], tanh_c[a:b], cols[a:b])
+    return cols[: net.layers[-1].hidden]
 
 
-def _cell(z, c, c_out, tc_out, h_out):
-    """The cell update on gate pre-activations ``z``, i, f, o, g along its
-    first axis: one sigmoid over i, f, o and one tanh over g, in place, then
+def _gates(z):
+    """The i, f, o block, the g block, then i, f and o, of gate values ``z``
+    (i, f, o, g along its first axis)."""
+    ifo = z[:3]
+    return (ifo, z[3], *ifo)
+
+
+def _cell(ifo, g, i, f, o, c, c_out, tc_out, h_out):
+    """The cell update on gate pre-activations, as ``_gates`` splits them:
+    one sigmoid over i, f, o and one tanh over g, in place, then
     c' = f*c + i*g into ``c_out`` (which may be ``c``), tanh(c') into
     ``tc_out`` (which holds i*g before that) and h' = o*tanh(c') into
     ``h_out``."""
-    ifo, g = z[:3], z[3]
     sigmoid(ifo, out=ifo)
     np.tanh(g, out=g)
-    i, f, o = ifo
     c = np.multiply(f, c, out=c_out)
     c += np.multiply(i, g, out=tc_out)
     np.multiply(o, np.tanh(c, out=tc_out), out=h_out)
@@ -285,8 +308,7 @@ def lstm_forward_batch(net: LstmNetwork, inputs, *, trusted: bool = False) -> np
     """Scalar prediction per sequence in a (B, L, F) batch; ``trusted``
     windows come from ``encode`` and skip the finiteness scan."""
     x = _check_batch(net, inputs, trusted)
-    top, _ = _run_waves(net, x, keep_cache=False)
-    return _head(net, top)
+    return _head(net, _run_waves(net, x))
 
 
 class _Phase:
@@ -353,7 +375,8 @@ def _rollout_waves(net: LstmNetwork, encoded, live):
             rows = (wave - (n - 1) * phase.owner) % steps  # step s reads row wave - (n-1)·s
             phase.cols[:, total:-1] = ring[rows, :, : phase.cols.shape[2]]
             np.matmul(waves.block, phase.cols, out=phase.z.reshape(len(phase.z), 4 * total, -1))
-            _cell(phase.z.swapaxes(0, 1), phase.cs, phase.cs, phase.tanh_c, phase.cols[:, :total])
+            _cell(*_gates(phase.z.swapaxes(0, 1)), phase.cs, phase.cs, phase.tanh_c,
+                  phase.cols[:, :total])
         if front < n - 1 and newest < h_max:  # layers above the front have not started
             phase = flight[-1]
             j = phase.slot(newest)
@@ -369,45 +392,96 @@ def _rollout_waves(net: LstmNetwork, encoded, live):
         ring[done % steps, :, : live[done + 1]] = _windows(new)[:, 0].T
 
 
-def _backward_waves(layers: list[LstmLayer], cache, dh_top: np.ndarray):
-    """BPTT through every layer at once, wave by wave in reverse, given the
-    gradient of the top layer's final state; returns each layer's (dW, db).
+class _Workspace:
+    """A training pass's buffers for one batch shape and stack, and each
+    wave's views into them. Slot w of the columns and c holds wave w's input;
+    its new h and c go to slot w + 1. Every call writes the same live rows,
+    so dead rows of the columns and c stay zero."""
 
-    Dead rows of the gate deltas stay zero, so one matmul by the block's
-    transposed h columns gives every layer's dh: its own recurrent term plus
-    the input term from the layer above. The bottom layer's input gradient
-    is never formed.
-    """
-    waves, cols, cs, gates, tanh_c = cache
-    slots, _, total, batch = gates.shape
-    steps = slots - len(layers) + 1
-    w_h = np.ascontiguousarray(waves.block[:, :total].T)
-    dz = np.zeros_like(gates)
-    dh = np.zeros((total, batch))
-    dc = np.zeros((total, batch))
-    dh[: len(dh_top)] = dh_top
-    for w in reversed(range(slots)):
-        a, b = waves.live[w]
-        ifo, g = gates[w, :3, a:b], gates[w, 3, a:b]
-        i, f, o = ifo
-        tc, d = tanh_c[w, a:b], dz[w, :, a:b]
-        dhl, dcl = dh[a:b], dc[a:b]
-        dcl += dhl * o * (1.0 - tc**2)
-        np.multiply(ifo, 1.0 - ifo, out=d[:3])  # sigmoid' of i, f, o
-        d[0] *= dcl * g
-        d[1] *= dcl * cs[w, a:b]
-        d[2] *= dhl * tc
-        np.multiply(dcl * i, 1.0 - g**2, out=d[3])
-        np.matmul(w_h, dz[w].reshape(4 * total, batch), out=dh)
-        dcl *= f
-    grads = []
-    for l, (layer, r) in enumerate(zip(layers, waves.pos)):
-        # layer l's live waves l .. l + steps - 1: rows i, f, o, g; columns (wave, batch)
-        d = dz[l : l + steps, :, r : r + layer.hidden].transpose(1, 2, 0, 3)
-        d = d.reshape(4 * layer.hidden, -1)
-        col = cols[l : l + steps, r : r + layer.hidden + layer.in_dim].transpose(1, 0, 2)
-        grads.append((d @ col.reshape(len(col), -1).T, d.sum(axis=1)))
-    return grads
+    def __init__(self, layers: list[LstmLayer], batch: int, steps: int):
+        self.waves = waves = _waves(layers, steps)
+        total = len(waves.block) // 4
+        slots = len(waves.live)
+        self.w_h = np.empty((total, 4 * total))
+        cols = np.zeros((slots + 1, waves.block.shape[1], batch))
+        cols[:, -1] = 1.0
+        cs = np.zeros((slots + 1, total, batch))
+        gates = np.empty((slots, 4, total, batch))
+        tanh_c = np.empty((slots, total, batch))
+        self.dh = dh = np.zeros((total, batch))
+        self.dc = dc = np.zeros((total, batch))
+        self.xs = cols[:steps, total:-1]  # (L, in_dim, B)
+        self.top = cols[-1, : layers[-1].hidden]
+        self.forward_waves, self.backward_waves = [], []
+        for w, (a, b) in enumerate(waves.live):
+            gate, c, tc, z = _gates(gates[w, :, a:b]), cs[w, a:b], tanh_c[w, a:b], gates[w]
+            flat = z.reshape(4 * total, batch)
+            self.forward_waves.append((cols[w], flat, (*gate, c, cs[w + 1, a:b], tc, cols[w + 1, a:b])))
+            dead = [v for v in (z[:, :a], z[:, b:]) if v.size]
+            self.backward_waves.append((*gate, c, tc, dh[a:b], dc[a:b], dead, flat))
+        self.backward_waves.reverse()
+        # layer l's live waves l .. l + L - 1: its deltas as rows i, f, o, g by
+        # columns (wave, batch), and its input columns
+        self.contractions = [
+            (gates[l : l + steps, :, r : r + layer.hidden].transpose(1, 2, 0, 3),
+             cols[l : l + steps, r : r + layer.hidden + layer.in_dim].transpose(1, 0, 2))
+            for l, (layer, r) in enumerate(zip(layers, waves.pos))]
+
+    def forward(self, layers: list[LstmLayer], x: np.ndarray) -> np.ndarray:
+        """Run a (B, L, in_dim) batch through the stack, keeping the cache;
+        returns the top layer's final (hidden, B) state (workspace memory)."""
+        block = self.waves.block
+        self.waves.fill(layers)
+        self.w_h[...] = block[:, : len(self.w_h)].T
+        self.xs[...] = x.transpose(1, 2, 0)
+        for col, z, cell in self.forward_waves:
+            np.matmul(block, col, out=z)
+            _cell(*cell)
+        return self.top
+
+    def backward(self, dh_top: np.ndarray):
+        """BPTT through every layer at once, wave by wave in reverse, given
+        the gradient of the top layer's final state; returns each layer's
+        (dW, db).
+
+        Each wave's gate deltas replace its gates, and its dead rows are
+        zeroed, so one matmul by the block's transposed h columns gives every
+        layer's dh: its own recurrent term plus the input term from the layer
+        above. The bottom layer's input gradient is never formed.
+        """
+        w_h, dh = self.w_h, self.dh
+        dh[...] = 0.0
+        self.dc[...] = 0.0
+        dh[: len(dh_top)] = dh_top
+        for ifo, g, i, f, o, c, tc, dhl, dcl, dead, dz in self.backward_waves:
+            dcl += dhl * o * (1.0 - tc**2)
+            # the factors that need dc, i and g, before those are overwritten
+            dc_i, dc_g, dc_c, dh_tc = dcl * i, dcl * g, dcl * c, dhl * tc
+            dcl *= f
+            np.multiply(ifo, 1.0 - ifo, out=ifo)  # sigmoid' of i, f, o
+            i *= dc_g
+            f *= dc_c
+            o *= dh_tc
+            np.multiply(dc_i, 1.0 - g**2, out=g)
+            for v in dead:
+                v[...] = 0.0
+            np.matmul(w_h, dz, out=dh)
+        grads = []
+        for d, col in self.contractions:
+            d = d.reshape(len(d) * d.shape[1], -1)
+            col = col.reshape(len(col), -1)
+            grads.append((d @ col.T, d.sum(axis=1)))
+        return grads
+
+
+def _training_workspace(net: LstmNetwork, batch: int, steps: int) -> _Workspace:
+    """The network's workspace for this batch shape, built in place of the
+    one it holds when the batch shape or the stack differs."""
+    key = batch, steps, tuple((l.in_dim, l.hidden) for l in net.layers)
+    if net._workspace is None or net._workspace[0] != key:
+        net._workspace = None  # never hold two
+        net._workspace = key, _Workspace(net.layers, batch, steps)
+    return net._workspace[1]
 
 
 def lstm_loss_and_grad(net: LstmNetwork, inputs, targets, *, trusted: bool = False):
@@ -418,7 +492,8 @@ def lstm_loss_and_grad(net: LstmNetwork, inputs, targets, *, trusted: bool = Fal
     if y.shape != (x.shape[0],):
         raise ValueError(f"targets must have shape ({x.shape[0]},), got {y.shape}")
 
-    h_last, cache = _run_waves(net, x, keep_cache=True)
+    ws = _training_workspace(net, *x.shape[:2])
+    h_last = ws.forward(net.layers, x)
     pre = net.head @ h_last
     pred = np.tanh(pre) if net.head_activation == "tanh" else pre
 
@@ -428,7 +503,7 @@ def lstm_loss_and_grad(net: LstmNetwork, inputs, targets, *, trusted: bool = Fal
     if net.head_activation == "tanh":
         dpre = dpre * (1.0 - pred**2)
 
-    grads = _backward_waves(net.layers, cache, net.head[:, None] * dpre[None, :])
+    grads = ws.backward(net.head[:, None] * dpre[None, :])
     flat = [a.ravel() for pair in grads for a in pair]
     flat.append(h_last @ dpre)
     return loss, np.concatenate(flat)

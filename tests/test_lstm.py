@@ -1,5 +1,5 @@
 """LSTM: gate-equation oracles, BPTT gradient checks, the wavefront
-schedule, serialization.
+schedule, the training workspace, serialization.
 
 The per-gate reference below is the LSTM as first written: four separate
 (hidden, hidden + in) gate matrices, layer after layer, a list of per-step
@@ -7,8 +7,11 @@ caches and BPTT that accumulates each gate's gradient step by step. The
 wavefront kernel in kanbench.lstm must agree with it.
 """
 
+import copy
 import json
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,7 +307,8 @@ class TestForwardOracle:
         def computed(*args, **kwargs):
             raise AssertionError("computation started on rejected input")
 
-        monkeypatch.setattr(lstm, "_run_waves", computed)
+        monkeypatch.setattr(lstm, "_run_waves", computed)  # the forward pass
+        monkeypatch.setattr(lstm, "_training_workspace", computed)  # the training pass
         for features in ((bad,), (bad[[2, 0]],), (bad[1:3],)):
             with pytest.raises(ValueError, match="finite"):
                 net.predict_window_batch(features)
@@ -382,6 +386,93 @@ class TestWavefront:
         lstm_loss_and_grad(net, x, rng.normal(size=batch))
         assert len(sizes) == steps + layers - 1
         assert sum(sizes) == 3 * hidden * batch * layers * steps
+
+
+class TestWorkspace:
+    """The training pass reuses one workspace per network; reuse must not
+    show in any result."""
+
+    def test_reuse_matches_a_fresh_network(self):
+        # batch sizes and window lengths alternate, parameters change between
+        # calls, and inference (which drops the workspace) comes in between;
+        # every call must equal the same call on a fresh copy of the network
+        net = small_net(input_dim=3, hidden=5, layers=2, seed=30)
+        rng = make_rng(31)
+        x = rng.normal(size=(32, 8, 3))
+        y = rng.normal(size=32)
+        shapes = [(32, 8), (32, 8), (24, 8), (32, 8), (32, 5), (32, 8), (24, 8), (24, 8)]
+        for k, (batch, steps) in enumerate(shapes):
+            net.unpack(net.pack() + rng.normal(scale=0.05, size=net.n_params))
+            if k == 3:
+                net.predict_window_batch(x[:5])
+            if k == 6:
+                iterative_forecast_batch(net, x[:4], [3, 2, 2, 1], close_col=0)
+            fresh = from_json_dict(to_json_dict(net))
+            loss, grad = lstm_loss_and_grad(net, x[:batch, :steps], y[:batch])
+            want_loss, want_grad = lstm_loss_and_grad(fresh, x[:batch, :steps], y[:batch])
+            assert loss == want_loss and np.array_equal(grad, want_grad), (batch, steps)
+
+    def test_returned_gradient_is_not_workspace_memory(self):
+        net = small_net(seed=32)
+        rng = make_rng(33)
+        x = rng.normal(size=(6, 7, 3))
+        y = rng.normal(size=6)
+        _, grad = lstm_loss_and_grad(net, x, y)
+        kept = grad.copy()
+        lstm_loss_and_grad(net, rng.normal(size=(6, 7, 3)), rng.normal(size=6))
+        assert np.array_equal(grad, kept)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda n: pickle.loads(pickle.dumps(n))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_train_and_predict_like_the_original(self, clone):
+        rng = make_rng(34)
+        x = rng.uniform(0.0, 1.0, size=(40, 6, 3))
+        y = rng.uniform(0.0, 1.0, size=40)
+        net = small_net(seed=35)
+        lstm_loss_and_grad(net, x[16:32], y[16:32])  # the original holds a workspace
+        twin = clone(net)
+        arrays = lambda n: [a for l in n.layers for a in l.arrays()] + [n.head]
+        assert not any(np.shares_memory(a, b) for a in arrays(net) for b in arrays(twin))
+        # the twin's first call has the original's batch shape, other rows
+        loss, grad = lstm_loss_and_grad(twin, x[:16], y[:16])
+        want_loss, want_grad = lstm_loss_and_grad(net, x[:16], y[:16])
+        assert loss == want_loss and np.array_equal(grad, want_grad)
+        assert not np.shares_memory(grad, want_grad)
+        config = TrainConfig(optimizer="adam", max_epochs=2, batch_size=16)
+        for model in (twin, net):
+            train(model, x, y, config)
+        assert np.array_equal(twin.pack(), net.pack())
+        assert np.array_equal(twin.predict_window_batch(x), net.predict_window_batch(x))
+
+    def test_workspace_does_not_outlive_training(self):
+        # full-batch Adam holds the largest workspace; the epoch-end RMSE
+        # (an inference) drops it, so none is left once train returns
+        rng = make_rng(36)
+        x = rng.uniform(0.0, 1.0, size=(40, 6, 3))
+        y = rng.uniform(0.0, 1.0, size=40)
+        net = small_net(seed=37)
+        train(net, x, y, TrainConfig(optimizer="adam", max_epochs=2, batch_size=0))
+        assert net._workspace is None
+        lstm_loss_and_grad(net, x, y)
+        assert net._workspace is not None
+        iterative_forecast_batch(net, x[:2], [2, 1], close_col=0)
+        assert net._workspace is None
+
+    def test_warmed_call_allocates_little(self):
+        # a warmed B=32, L=20, 2x10 call allocates only small temporaries and
+        # the gradient contraction's transposed copies, not its caches
+        net = lstm_init(6, 10, 2, make_rng(38))
+        rng = make_rng(39)
+        x = rng.normal(size=(32, 20, 6))
+        y = rng.normal(size=32)
+        lstm_loss_and_grad(net, x, y)
+        tracemalloc.start()
+        try:
+            lstm_loss_and_grad(net, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024
 
 
 FD_CASES = [
