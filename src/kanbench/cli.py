@@ -28,7 +28,7 @@ from .bench import (
 )
 from .data import REGIME_PRESETS, MinMaxScaler, gen_synthetic, make_regime, write_csv
 from .forecast import iterative_forecast, write_trace_csv
-from .numcore import checkpoint_field
+from .numcore import check_int, checkpoint_field
 
 REPORT_FORMATS = ("csv", "markdown-table", "gnuplot-data")
 
@@ -153,8 +153,12 @@ def _cmd_forecast(args) -> None:
         checkpoint_field(bundle, key, "checkpoint")
         for key in ("model", "seed_window", "target_col", "scaler")
     )
+    target_col = check_int(target_col, "checkpoint field 'target_col'", least=0)
+    try:
+        window = np.array(seed_window, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError("checkpoint field 'seed_window' must be rows of numbers") from None
     model = loaders[kind](model_d)
-    window = np.array(seed_window, dtype=np.float64)
     trace = iterative_forecast(model, window, args.horizon, close_col=target_col)
     scaler = MinMaxScaler(*(checkpoint_field(scaler_d, key, "checkpoint scaler")
                             for key in ("mins", "maxs")))

@@ -36,8 +36,12 @@ A rollout runs the same waves across its steps (``rollout_steps``): step
 s's window starts n waves after step s - 1's, whose prediction it first
 reads at its own wave L - 1, so the windows in flight share each wave's
 stacked matmul and gate activations and H steps take n·(H - 1) + L + n - 1
-waves instead of H·(L + n - 1). Each window keeps the matmul width the step
-loop would give it, so its prediction is the step loop's bit for bit.
+waves instead of H·(L + n - 1). With per-window horizons the steps fall
+into segments, the runs of steps that roll equally many windows; the
+segments run back to back, each in its own buffers, so a segment of
+``count`` steps takes n·(count - 1) + L + n - 1 waves. Every step keeps the
+matmul width the step loop would give it, so its prediction is the step
+loop's bit for bit.
 
 ``encode`` scans its windows for finiteness once and returns them as an
 ``Encoded`` 1-tuple; as on the spline side, such a tuple, and row selections
@@ -311,41 +315,26 @@ def lstm_forward_batch(net: LstmNetwork, inputs, *, trusted: bool = False) -> np
     return _head(net, _run_waves(net, x))
 
 
-class _Phase:
-    """The in-flight windows of one width phase of a rollout: the steps
-    ``first`` .. ``stop`` - 1, which roll equally many windows. Each slot
-    holds one step's column, c, tanh(c) and gate buffers; step s uses slot
-    (s - first) mod slots, and ``owner`` names the step in each slot."""
-
-    def __init__(self, first: int, stop: int, width: int, slots: int, waves: _Waves):
-        total = len(waves.block) // 4
-        self.first, self.stop = first, stop
-        self.owner = np.arange(first, first + slots)
-        self.cols = np.zeros((slots, waves.block.shape[1], width))
-        self.cols[:, -1] = 1.0
-        self.cs = np.zeros((slots, total, width))
-        self.tanh_c = np.empty((slots, total, width))
-        self.z = np.empty((slots, 4, total, width))
-
-    def slot(self, step: int) -> int:
-        return (step - self.first) % len(self.owner)
-
-
 def _rollout_waves(net: LstmNetwork, encoded, live):
     """Generator behind ``LstmNetwork.rollout_steps``: the step wavefront.
 
     Rollout step s is the stack run over the window of rows s .. s + L - 1,
     where row L + s - 1 (s > 0) is the pseudo-row made from step s - 1's
-    predictions. Step s starts n waves after step s - 1 (n layers), so it
-    reads that pseudo-row at its local wave L - 1, one wave after the
-    prediction exists, and H steps take n·(H - 1) + L + n - 1 waves. Every
-    in-flight step of a width phase runs in one stacked matmul per wave,
-    and every row of it through one sigmoid and one tanh: a slot's matmul
-    keeps the width (live[s] columns) that lstm_forward_batch gives that
-    window, so each prediction equals the step loop's bit for bit. Rows of
-    layers that have not started in the newest step are reset to h = c = 0
-    after each wave; layers that have finished compute finite values that no
-    live layer reads. The rows live in a ring of L rows, row r at r mod L.
+    predictions. The steps run in segments, the runs of steps that roll
+    equally many windows (live[s]), one segment to completion before the
+    next starts. Within a segment, step s starts n waves after step s - 1
+    (n layers), so it reads that pseudo-row at its local wave L - 1, one
+    wave after the prediction exists, and a segment of ``count`` steps
+    takes n·(count - 1) + L + n - 1 waves. Each segment has its own slot
+    buffers (column, c, tanh(c) and gates), one slot per step in flight,
+    and its in-flight steps run in one stacked matmul per wave, every row
+    through one sigmoid and one tanh. A slot's matmul keeps the width
+    (live[s] columns) that lstm_forward_batch gives that window, so each
+    prediction equals the step loop's bit for bit. Rows of layers that have
+    not started in the newest step are reset to h = c = 0 after each wave;
+    layers that have finished compute finite values that no live layer
+    reads. The rows live in a ring of L rows, row r at r mod L, which
+    carries over from one segment to the next.
     """
     x = _check_batch(net, _windows(encoded), trusted=isinstance(encoded, Encoded))
     steps = x.shape[1]
@@ -354,42 +343,36 @@ def _rollout_waves(net: LstmNetwork, encoded, live):
     total = len(waves.block) // 4
     top = net.layers[-1].hidden
     span = steps + n - 1  # waves of one rollout step
-    slots = -(-span // n)  # the most steps in flight at once
     ring = x.transpose(1, 2, 0).copy()  # (L, in_dim, B)
-    h_max = len(live)
-    cuts = [0, *(np.flatnonzero(np.diff(live)) + 1), h_max]
-    bounds = iter(zip(cuts, cuts[1:]))
-    flight = []  # phases with steps in flight, oldest first
-    for wave in range(n * (h_max - 1) + span):
-        newest, front = divmod(wave, n)  # the newest step runs its layer ``front``
-        if front == 0 and newest < h_max:  # step ``newest`` starts from h = c = 0
-            if not flight or newest == flight[-1].stop:
-                first, stop = next(bounds)
-                flight.append(_Phase(first, stop, live[first], min(slots, stop - first), waves))
-            phase = flight[-1]
-            j = phase.slot(newest)
-            phase.owner[j] = newest
-            phase.cols[j, :total] = 0.0
-            phase.cs[j] = 0.0
-        for phase in flight:
-            rows = (wave - (n - 1) * phase.owner) % steps  # step s reads row wave - (n-1)·s
-            phase.cols[:, total:-1] = ring[rows, :, : phase.cols.shape[2]]
-            np.matmul(waves.block, phase.cols, out=phase.z.reshape(len(phase.z), 4 * total, -1))
-            _cell(*_gates(phase.z.swapaxes(0, 1)), phase.cs, phase.cs, phase.tanh_c,
-                  phase.cols[:, :total])
-        if front < n - 1 and newest < h_max:  # layers above the front have not started
-            phase = flight[-1]
-            j = phase.slot(newest)
-            phase.cols[j, : waves.pos[front]] = 0.0
-            phase.cs[j, : waves.pos[front]] = 0.0
-        done, off = divmod(wave - span + 1, n)
-        if done < 0 or off:
-            continue
-        phase = flight[0]
-        new = yield _head(net, phase.cols[phase.slot(done), :top])
-        if done + 1 == phase.stop:
-            flight.pop(0)
-        ring[done % steps, :, : live[done + 1]] = _windows(new)[:, 0].T
+    cuts = [0, *(np.flatnonzero(np.diff(live)) + 1), len(live)]
+    for first, stop in zip(cuts, cuts[1:]):
+        width, slots = live[first], min(-(-span // n), stop - first)
+        owner = np.arange(first, first + slots)  # the step in each slot
+        cols = np.zeros((slots, waves.block.shape[1], width))
+        cols[:, -1] = 1.0
+        cs = np.zeros((slots, total, width))
+        tanh_c = np.empty((slots, total, width))
+        z = np.empty((slots, 4, total, width))
+        # step s runs its local wave ``wave`` - n·s in slot (s - first) mod
+        # slots, reading row (local wave) + s
+        for wave in range(n * first, n * (stop - 1) + span):
+            newest, front = divmod(wave, n)  # the newest step runs its layer ``front``
+            j = (newest - first) % slots
+            if front == 0 and newest < stop:  # step ``newest`` starts from h = c = 0
+                owner[j] = newest
+                cols[j, :total] = 0.0
+                cs[j] = 0.0
+            cols[:, total:-1] = ring[(wave - (n - 1) * owner) % steps, :, :width]
+            np.matmul(waves.block, cols, out=z.reshape(slots, 4 * total, width))
+            _cell(*_gates(z.swapaxes(0, 1)), cs, cs, tanh_c, cols[:, :total])
+            if front < n - 1 and newest < stop:  # layers above the front have not started
+                cols[j, : waves.pos[front]] = 0.0
+                cs[j, : waves.pos[front]] = 0.0
+            done, off = divmod(wave - span + 1, n)
+            if done >= first and not off:
+                new = yield _head(net, cols[(done - first) % slots, :top])
+                ring[done % steps, :, : live[done + 1]] = _windows(new)[:, 0].T
+        del cols, cs, tanh_c, z  # one segment's buffers at a time
 
 
 class _Workspace:
@@ -494,8 +477,7 @@ def lstm_loss_and_grad(net: LstmNetwork, inputs, targets, *, trusted: bool = Fal
 
     ws = _training_workspace(net, *x.shape[:2])
     h_last = ws.forward(net.layers, x)
-    pre = net.head @ h_last
-    pred = np.tanh(pre) if net.head_activation == "tanh" else pre
+    pred = _head(net, h_last)
 
     resid = pred - y
     loss = float(np.mean(resid**2))

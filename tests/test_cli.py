@@ -200,6 +200,24 @@ class TestTrainForecastChain:
         err = capsys.readouterr().err
         assert f"missing field '{field}'" in err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("target_col", True, "checkpoint field 'target_col'"),
+        ("target_col", 3.0, "checkpoint field 'target_col'"),
+        ("target_col", "3", "checkpoint field 'target_col'"),
+        ("target_col", 9, "close_col 9 out of range for 6 features"),
+        ("seed_window", [[0.1, 0.2], [0.3]], "checkpoint field 'seed_window'"),
+        ("seed_window", "rows", "checkpoint field 'seed_window'"),
+        ("seed_window", [0.1, 0.2], "seed window must be 2-D (L, F), got shape (2,)")])
+    def test_bad_checkpoint_value_names_field(self, tmp_path, capsys, field, value, message):
+        code, ckpt, _ = self.run_train(tmp_path, "lstm")
+        assert code == 0
+        bundle = json.loads(ckpt.read_text())
+        bundle[field] = value
+        ckpt.write_text(json.dumps(bundle))
+        assert dispatch(["forecast", "--checkpoint", str(ckpt),
+                         "--horizon", "3", "--out", str(tmp_path / "t.csv")]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestBenchmarkAndReport:
     def matrix_path(self, tmp_path, experiments=None):

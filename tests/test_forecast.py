@@ -4,6 +4,9 @@ tape (also past the point where the bounded tape slides) and for the LSTM's
 step wavefront, prefix consistency, row independence of batched rollouts,
 per-window horizons, pseudo-row column handling, failure behavior."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -415,6 +418,54 @@ class TestStepWavefront:
         windows = make_rng(67).uniform(0.1, 0.9, size=(2, lookback, 6))
         iterative_forecast_batch(net, windows, horizon)
         assert len(calls) == layers * (horizon - 1) + lookback + layers - 1
+
+    @pytest.mark.parametrize("horizons", [[40, 7, 7, 2, 1, 1], [5, 5, 3, 3, 3, 1], [30, 1]])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_one_sigmoid_call_per_wave_of_each_segment(self, monkeypatch, layers, horizons):
+        # a segment, the steps that roll equally many windows, of `count`
+        # steps takes n·(count - 1) + L + n - 1 waves
+        calls = []
+
+        def counted(x, **kwargs):
+            calls.append(np.size(x))
+            return sigmoid(x, **kwargs)
+
+        monkeypatch.setattr(lstm, "sigmoid", counted)
+        lookback = 7
+        net = lstm_init(6, hidden=4, n_layers=layers, rng=make_rng(66))
+        windows = make_rng(67).uniform(0.1, 0.9, size=(len(horizons), lookback, 6))
+        iterative_forecast_batch(net, windows, horizons)
+        live = [sum(h > s for h in horizons) for s in range(horizons[0])]
+        counts = [sum(1 for _ in run) for _, run in itertools.groupby(live)]
+        assert len(calls) == sum(layers * (c - 1) + lookback + layers - 1 for c in counts)
+
+    @pytest.mark.parametrize("horizons", [[9, 9, 6, 2, 1], [30, 1]])
+    @pytest.mark.parametrize("lookback", [1, 2, 3])
+    @pytest.mark.parametrize("layers", [2, 3])
+    def test_segments_of_windows_shorter_than_the_stack(self, layers, lookback, horizons):
+        # every segment restarts on ramp waves only
+        net = biased_lstm(1, 4, layers, 62, head="tanh")
+        windows = make_rng(63).uniform(0.1, 0.9, size=(len(horizons), lookback, 1))
+        want = prefix_reference_rollout(net, windows, horizons, 0, None)
+        assert np.array_equal(iterative_forecast_batch(net, windows, horizons), want,
+                              equal_nan=True)
+
+    def test_segments_never_hold_their_buffers_at_once(self):
+        # a rollout of two segments peaks no higher than the larger one alone
+        net = lstm_init(6, hidden=10, n_layers=2, rng=make_rng(70))
+        windows = make_rng(71).uniform(0.1, 0.9, size=(64, 20, 6))
+
+        def peak(windows, horizon):
+            iterative_forecast_batch(net, windows, horizon)  # warm
+            tracemalloc.start()
+            try:
+                iterative_forecast_batch(net, windows, horizon)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone = max(peak(windows, 2), peak(windows[:16], 12))
+        assert peak(windows, [12] * 16 + [2] * 48) <= 1.25 * alone
 
     def test_non_finite_prediction_raises_at_its_step(self, monkeypatch):
         head = lstm._head
