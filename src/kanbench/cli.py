@@ -11,8 +11,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import bench, kan, lstm
 from .bench import (
     config_from_dict,
@@ -28,7 +26,7 @@ from .bench import (
 )
 from .data import REGIME_PRESETS, MinMaxScaler, gen_synthetic, make_regime, write_csv
 from .forecast import iterative_forecast, write_trace_csv
-from .numcore import check_int, checkpoint_field
+from .numcore import check_int, checkpoint_field, checkpoint_numbers
 
 REPORT_FORMATS = ("csv", "markdown-table", "gnuplot-data")
 
@@ -154,10 +152,7 @@ def _cmd_forecast(args) -> None:
         for key in ("model", "seed_window", "target_col", "scaler")
     )
     target_col = check_int(target_col, "checkpoint field 'target_col'", least=0)
-    try:
-        window = np.array(seed_window, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError("checkpoint field 'seed_window' must be rows of numbers") from None
+    window = checkpoint_numbers(seed_window, "checkpoint field 'seed_window' must be rows of numbers")
     model = loaders[kind](model_d)
     trace = iterative_forecast(model, window, args.horizon, close_col=target_col)
     scaler = MinMaxScaler(*(checkpoint_field(scaler_d, key, "checkpoint scaler")

@@ -106,7 +106,10 @@ class KanNetwork:
 
         Each scalar is encoded on its own, so any (B, ..., F) array works,
         a single (B, 1, F) row included; the input width is checked where
-        the features are read.
+        the features are read. Besides the two feature arrays it allocates
+        nothing of their size: the basis is evaluated in fixed-size blocks
+        straight into its array, and silu in the sigmoid's buffer, so
+        encoding a fit's training windows peaks at its features.
         """
         x = np.asarray(windows, dtype=np.float64)
         if x.ndim < 2:

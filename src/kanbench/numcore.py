@@ -1,6 +1,6 @@
 """Seeded randomness, the float64 activations shared by every module, the
-int, real and field checks that configs and both model checkpoints load
-through, and the finiteness rule for model input.
+int, real, number-list and field checks that configs and both model
+checkpoints load through, and the finiteness rule for model input.
 
 All randomness flows through PCG64 generators built by :func:`make_rng`, so a
 seed fully determines every stream on every platform numpy supports.
@@ -43,15 +43,20 @@ def sigmoid(x, out=None):
     saturates to exactly 0 and 1 for large |x|. With ``out`` (which may be
     ``x`` itself) the result is written there and returned.
     """
-    s = np.tanh(np.multiply(0.5, np.asarray(x, dtype=np.float64), out=out), out=out)
+    s = np.multiply(0.5, np.asarray(x, dtype=np.float64), out=out)
+    np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
     return s
 
 
 def silu(x):
+    """x·sigmoid(x), written into the sigmoid's own buffer: one array as
+    large as x."""
     x = np.asarray(x, dtype=np.float64)
-    return x * sigmoid(x)
+    s = sigmoid(x)
+    s *= x
+    return s
 
 
 def silu_grad(x, s):
@@ -98,13 +103,32 @@ def checkpoint_field(d, key: str, where: str):
     return d[key]
 
 
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(
+        _is_number_list(v) if isinstance(v, list)
+        else isinstance(v, (int, float)) and not isinstance(v, bool)
+        for v in value)
+
+
+def checkpoint_numbers(value, message: str) -> np.ndarray:
+    """``value``, lists of ints and floats nested to equal depth and length,
+    as a float64 array; else a ValueError with ``message``.
+
+    np.array alone would also read the string "0.12" or the bool True as a
+    number. A checkpoint kanbench writes holds neither, so either marks a
+    corrupt file."""
+    if not _is_number_list(value):
+        raise ValueError(message)
+    try:
+        return np.array(value, dtype=np.float64)
+    except (ValueError, OverflowError):  # ragged rows, or an int beyond float64
+        raise ValueError(message) from None
+
+
 def checkpoint_array(d, key: str, size: int, where: str) -> np.ndarray:
     """A flat list of ``size`` finite numbers, as float64."""
     value = checkpoint_field(d, key, where)
-    try:
-        arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} field {key!r} must be a list of numbers") from None
+    arr = checkpoint_numbers(value, f"{where} field {key!r} must be a list of numbers")
     if arr.shape != (size,):
         raise ValueError(f"{where} field {key!r} has shape {arr.shape}, expected ({size},)")
     if not np.all(np.isfinite(arr)):

@@ -133,6 +133,22 @@ def oracle_points(spec, rng):
 DOMAINS = [(0.0, 1.0), (-0.7, 1.9), (-3.0, -1.0)]
 
 
+def block_edge_points(spec, n, block, rng):
+    """n points in and around the domain, with every knot, both domain ends
+    and points outside the domain (a -0.0 among them) as the first and the
+    last points of every block."""
+    lo, hi = spec.domain_lo, spec.domain_hi
+    width = hi - lo
+    x = rng.uniform(lo - 0.2 * width, hi + 0.2 * width, size=n)
+    special = np.concatenate([spec.knots(), [lo, hi, lo - 0.3 * width, hi + 0.3 * width, -0.0]])
+    m = special.size
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        x[start : start + m] = special[: stop - start]
+        x[max(stop - m, start) : stop] = special[-(stop - max(stop - m, start)) :]
+    return x
+
+
 class TestSplineSpec:
     def test_knot_layout(self):
         spec = SplineSpec(grid_size=4, degree=2)
@@ -363,3 +379,46 @@ class TestSplineFunction:
         spec = SplineSpec(8, 3)
         x = np.linspace(0, 1, 33)
         assert np.allclose(basis_matrix(spec, x) @ np.full(spec.n_basis, 2.5), 2.5, atol=1e-12)
+
+
+class TestBlocks:
+    """Points are evaluated in blocks of ``bspline.BLOCK``, each written
+    straight into its rows of the result: the bits must not depend on where
+    the block edges fall."""
+
+    @pytest.mark.parametrize("grid_size,degree", [(1, 1), (3, 2), (5, 3), (10, 3)])
+    @pytest.mark.parametrize("kernel", [basis_matrix, basis_grad_matrix])
+    def test_blocks_equal_one_block(self, monkeypatch, kernel, grid_size, degree):
+        spec = SplineSpec(grid_size, degree, -0.7, 1.9)
+        block = bspline.BLOCK
+        rng = make_rng(grid_size * 10 + degree)
+        for n in (block - 1, block, block + 1, 2 * block + 3):
+            x = block_edge_points(spec, n, block, rng)
+            blocked = kernel(spec, x)
+            with monkeypatch.context() as m:
+                m.setattr(bspline, "BLOCK", n)
+                whole = kernel(spec, x)
+            assert blocked.shape == (n, spec.n_basis)
+            assert np.array_equal(blocked, whole)
+            assert np.array_equal(np.signbit(blocked), np.signbit(whole))
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, block):
+        spec = SplineSpec(5, 3, -0.7, 1.9)
+        x = oracle_points(spec, make_rng(block))
+        want = basis_matrix(spec, x), basis_grad_matrix(spec, x)
+        monkeypatch.setattr(bspline, "BLOCK", block)
+        for got, ref in zip((basis_matrix(spec, x), basis_grad_matrix(spec, x)), want):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("kernel", [basis_matrix, basis_grad_matrix])
+    def test_nan_in_the_last_block_raises_before_any_block_is_scattered(
+            self, monkeypatch, kernel):
+        scattered = []
+        monkeypatch.setattr(bspline, "_scatter", lambda *args: scattered.append(args))
+        x = np.linspace(0.0, 1.0, 2 * bspline.BLOCK + 3)
+        x[-1] = np.nan
+        with pytest.raises(ValueError, match="^spline input must be finite$"):
+            kernel(SplineSpec(3, 2), x)
+        assert scattered == []

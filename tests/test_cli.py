@@ -207,6 +207,8 @@ class TestTrainForecastChain:
         ("target_col", 9, "close_col 9 out of range for 6 features"),
         ("seed_window", [[0.1, 0.2], [0.3]], "checkpoint field 'seed_window'"),
         ("seed_window", "rows", "checkpoint field 'seed_window'"),
+        ("seed_window", [["0.5", "1"]], "checkpoint field 'seed_window' must be rows of numbers"),
+        ("seed_window", [[0.5, True]], "checkpoint field 'seed_window' must be rows of numbers"),
         ("seed_window", [0.1, 0.2], "seed window must be 2-D (L, F), got shape (2,)")])
     def test_bad_checkpoint_value_names_field(self, tmp_path, capsys, field, value, message):
         code, ckpt, _ = self.run_train(tmp_path, "lstm")

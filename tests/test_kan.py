@@ -1,6 +1,7 @@
 """Spline-edge networks: forward oracle, exact gradients, serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,20 @@ class TestEncode:
             with pytest.raises(ValueError, match="pair"):
                 net.predict_window_batch(wrong_arity)
 
+
+    def test_encode_peaks_at_its_features(self):
+        # one fit's training windows at the headline shape: the basis is
+        # evaluated block by block into the result and silu in the
+        # sigmoid's buffer, so little is held besides the two outputs
+        net = kan_init([20 * 6, 8, 1], SplineSpec(3, 2), make_rng(38))
+        windows = make_rng(39).uniform(-0.1, 1.1, size=(984, 20, 6))
+        tracemalloc.start()
+        try:
+            silu_x, basis = net.encode(windows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (silu_x.nbytes + basis.nbytes)
 
     def test_encoded_features_are_scanned_once(self, monkeypatch):
         # encode rejects non-finite input itself; training (both optimizers),
@@ -361,9 +376,13 @@ class TestSerialization:
         ("coef", lambda d: d["layers"][1].pop("coef")),
         ("base", lambda d: d["layers"][0].update(base=[1.0, "x", 2.0])),
         ("base", lambda d: d["layers"][1]["base"].append(0.5)),
+        # np.array would read either as a number
+        ("coef", lambda d: d["layers"][0]["coef"].__setitem__(0, "0.12")),
+        ("base", lambda d: d["layers"][1]["base"].__setitem__(0, True)),
     ], ids=[
         "no-kind", "no-spec", "no-degree", "no-grid_size", "text-domain_hi", "no-dims",
         "zero-dim", "no-layers", "short-coef", "no-coef", "text-base", "long-base",
+        "quoted-coef", "bool-base",
     ])
     def test_malformed_checkpoint_names_field(self, field, change):
         d = to_json_dict(small_net((3, 2, 1), seed=6))

@@ -586,12 +586,15 @@ class TestSerialization:
         ("params", lambda d: d.pop("params")),
         ("params", lambda d: d["params"].pop()),
         ("params", lambda d: d.update(params=["x"] * len(d["params"]))),
+        ("params", lambda d: d["params"].__setitem__(0, "0.12")),
+        ("params", lambda d: d["params"].__setitem__(-1, False)),
         ("hidden", lambda d: d.update(hidden=2.5)),
         ("n_layers", lambda d: d.update(n_layers=0)),
         ("head_activation", lambda d: d.update(head_activation="relu")),
     ], ids=[
         "no-kind", "no-input_dim", "no-hidden", "no-n_layers", "no-head_activation",
-        "no-params", "short-params", "text-params", "float-hidden", "zero-n_layers",
+        "no-params", "short-params", "text-params", "quoted-params", "bool-params",
+        "float-hidden", "zero-n_layers",
         "relu-head",
     ])
     def test_malformed_checkpoint_names_field(self, field, change):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kanbench.numcore import check_real, make_rng, sigmoid, silu, silu_grad
+from kanbench.numcore import check_real, checkpoint_numbers, make_rng, sigmoid, silu, silu_grad
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -71,6 +71,15 @@ class TestSilu:
         x = np.linspace(-5, 5, 41)
         assert np.allclose(silu(x), x * sigmoid(x), atol=1e-15)
 
+    def test_product_in_the_sigmoid_buffer_keeps_the_bits(self):
+        x = make_rng(9).normal(scale=6.0, size=(5, 7))
+        x[0, :3] = [0.0, -0.0, -1e-300]
+        before = x.copy()
+        got = silu(x)
+        assert np.array_equal(got, x * sigmoid(x))
+        assert np.array_equal(np.signbit(got), np.signbit(x * sigmoid(x)))
+        assert np.array_equal(x, before)
+
     @given(st.lists(st.floats(min_value=-20, max_value=20), min_size=1, max_size=10))
     def test_grad_matches_finite_difference(self, xs):
         x = np.array(xs)
@@ -109,3 +118,28 @@ class TestCheckReal:
     def test_message_states_the_range(self):
         with pytest.raises(ValueError, match=r">= 0 and < 1, got 1\.5"):
             check_real(1.5, "beta2", at_least=0, below=1)
+
+
+class TestCheckpointNumbers:
+    def test_nested_ints_and_floats_become_float64(self):
+        arr = checkpoint_numbers([[1, 0.5], [-2, 3e-5]], "bad")
+        assert arr.dtype == np.float64 and arr.shape == (2, 2)
+        assert np.array_equal(arr, [[1.0, 0.5], [-2.0, 3e-5]])
+        assert checkpoint_numbers([], "bad").shape == (0,)
+
+    @pytest.mark.parametrize("value", [
+        ["0.12"],  # np.array reads a numeric string as a number
+        [[0.5, "1"]],
+        [True, 0.5],  # and a bool as 1.0
+        [[False]],
+        [None],
+        [{"x": 1}],
+        "0.12",
+        0.5,  # a scalar is not a list
+        [[0.1, 0.2], [0.3]],  # ragged rows
+        [0.1, [0.2]],
+        [10**400],  # an int beyond float64
+    ])
+    def test_anything_else_raises_the_message(self, value):
+        with pytest.raises(ValueError, match=r"^field 'x' must be numbers$"):
+            checkpoint_numbers(value, "field 'x' must be numbers")
