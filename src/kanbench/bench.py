@@ -350,7 +350,8 @@ def _horizon_evals(model, prepared: PreparedData, horizons) -> list[HorizonSumma
     _, first = np.unique(anchors[order], return_index=True)  # each anchor at its deepest
     rows = order[np.sort(first)]
     anchors, depths = anchors[rows], depths[rows]
-    seed_windows = np.stack([scaled[j : j + lookback] for j in anchors])
+    # anchors are test rows, and test window i starts at row n_train + i
+    seed_windows = prepared.test.inputs[anchors - prepared.n_train]
     preds = iterative_forecast_batch(model, seed_windows, depths, close_col=col)
     by_anchor = np.argsort(anchors)
 

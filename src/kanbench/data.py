@@ -5,7 +5,7 @@ The CSV schema is fixed: header ``date,open,high,low,close,adj_close,volume``,
 UTF-8, ``.`` decimal separator, missing numerics as an empty field or ``NaN``.
 Scaling is Min-Max to [0, 1] with parameters fit on training rows only;
 windowing pairs an L-row lookback block with the scaled close H steps after
-the block ends.
+the block ends, and the blocks are read-only views of the scaled series.
 """
 
 import csv
@@ -159,6 +159,10 @@ def scaler_inverse(scaler: MinMaxScaler, scaled, idx: int) -> np.ndarray:
 
 @dataclass
 class WindowedDataset:
+    """Lookback windows and their targets. ``make_windows`` gives ``inputs``
+    as a read-only view of the scaled series, not a copy, so the windows of
+    a split alias that series and each other."""
+
     inputs: np.ndarray  # (n, L, F) scaled lookback windows
     targets: np.ndarray  # (n,) scaled close H steps past each window
     lookback: int
@@ -175,7 +179,13 @@ class WindowedDataset:
 
 
 def make_windows(scaled, lookback: int, horizon: int, target_col: int = CLOSE) -> WindowedDataset:
-    """Sample i: input rows [i, i+L), target = scaled[i+L+H-1, target_col]."""
+    """Sample i: input rows [i, i+L), target = scaled[i+L+H-1, target_col].
+
+    The inputs are a read-only sliding-window view of ``scaled`` (as float64),
+    not a copy: consecutive windows share L - 1 rows, so a copy would hold
+    about L times the series' values. A row selection such as a minibatch
+    (``inputs[idx]``) copies only the windows it takes.
+    """
     scaled = np.asarray(scaled, dtype=np.float64)
     if scaled.ndim != 2:
         raise ValueError("scaled series must be 2-D (rows, features)")
@@ -190,7 +200,7 @@ def make_windows(scaled, lookback: int, horizon: int, target_col: int = CLOSE) -
             f"series of {n_rows} rows too short: need at least {lookback + horizon}"
         )
     view = np.lib.stride_tricks.sliding_window_view(scaled, lookback, axis=0)
-    inputs = np.ascontiguousarray(view[:n].transpose(0, 2, 1))
+    inputs = view[:n].transpose(0, 2, 1)
     targets = scaled[lookback + horizon - 1 : lookback + horizon - 1 + n, target_col].copy()
     return WindowedDataset(inputs, targets, lookback, horizon)
 

@@ -20,12 +20,13 @@ pseudo-rows by ``send``:
   loop here. It keeps a tape of encoded rows per encoded array and passes
   the model views of L consecutive tape rows without copying, rebuilt as
   the encoding's own type so the model trusts them as it trusts
-  ``encode``'s output. The tape holds at most L + min(H, L) - 1 rows, so
-  its size does not grow with the horizon: when the next row would not
-  fit, the window's last L - 1 rows slide to the front. The spline
-  network's encoding is its first layer's silu and basis features, which
-  hold only while that layer's ``SplineSpec`` stays as it was when they
-  were made.
+  ``encode``'s output. The tape's first L rows are the seed encoding,
+  which is dropped once copied, so the steps do not carry both. The tape
+  holds at most L + min(H, L) - 1 rows, so its size does not grow with the
+  horizon: when the next row would not fit, the window's last L - 1 rows
+  slide to the front. The spline network's encoding is its first layer's
+  silu and basis features, which hold only while that layer's
+  ``SplineSpec`` stays as it was when they were made.
 
 Each window may have its own horizon, given in non-increasing order, so
 that one rollout serves several horizons: at step s only the prefix of
@@ -115,6 +116,7 @@ def iterative_forecast_batch(
     encoded = model.encode(windows)
     rollout = getattr(model, "rollout_steps", None)
     steps = rollout(encoded, live) if rollout else _tape_steps(model, encoded, live)
+    del encoded  # the steps keep what they need of it
     row = windows[:, -1, :].copy()  # the raw last row, carried into each pseudo-row
     preds = np.full((n, h_max), np.nan)
     new = None
@@ -140,15 +142,17 @@ def _tape_steps(model, encoded, live):
     n, lookback = encoded[0].shape[:2]
     h_max = len(live)
     rows = lookback + min(h_max, lookback) - 1
+    wrap = type(encoded)
     tape = []
     for seed in encoded:
         t = np.empty((n, rows) + seed.shape[2:])
         t[:, :lookback] = seed
         tape.append(t)
+    del encoded, seed  # the tape holds the seed encoding now
     start = 0  # the current window is tape rows start .. start + L - 1
     for step in range(h_max):
         new = yield model.predict_window_batch(
-            type(encoded)(t[: live[step], start : start + lookback] for t in tape))
+            wrap(t[: live[step], start : start + lookback] for t in tape))
         m = live[step + 1]
         start += 1
         if start + lookback > rows:  # tape full: slide the window's L - 1 kept rows to the front

@@ -212,9 +212,29 @@ def kan_forward_batch(net: KanNetwork, silu_x, basis, *, trusted: bool = False) 
     return out[:, 0]
 
 
+def _spline_grad(layer: KanLayer, xin: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The spline term of the gradient at the layer's input (B, in_dim):
+    sum over p of (delta @ coef)[b, i, p] · dphi_p(x[b, i]). Its two
+    basis-sized arrays live only in this call: the product goes into the
+    first, and the basis derivative is dropped before the sum."""
+    shape = (xin.shape[0], layer.in_dim, layer.spec.n_basis)
+    dphi = basis_grad_matrix(layer.spec, xin.reshape(-1)).reshape(shape)
+    w = (delta @ layer.coef.reshape(layer.out_dim, -1)).reshape(shape)
+    w *= dphi
+    del dphi
+    # np.sum(w, axis=2) as column adds in the same order: the same bits,
+    # without a reduction's cost over so short an axis
+    dsum = w[..., 0].copy()
+    for j in range(1, shape[2]):
+        dsum += w[..., j]
+    return dsum
+
+
 def kan_backward(net: KanNetwork, silu_x, basis, targets, *, trusted: bool = False):
     """MSE loss over an encoded batch plus exact gradients, packed flat like
-    pack(); ``trusted`` as for ``kan_forward_batch``."""
+    pack(); ``trusted`` as for ``kan_forward_batch``. Each layer's forward
+    reads are dropped once its gradients are formed, so beyond its input
+    the call holds about two hidden-layer bases at a time."""
     silu_x, basis = _check_features(net, silu_x, basis, trusted)
     y = np.asarray(targets, dtype=np.float64)
     if silu_x.shape[0] == 0:
@@ -232,19 +252,14 @@ def kan_backward(net: KanNetwork, silu_x, basis, targets, *, trusted: bool = Fal
     base_grads: list[np.ndarray] = [np.empty(0)] * n
     for li in reversed(range(n)):
         layer = net.layers[li]
-        xin, silu_in, phi, s = reads[li]
+        # popped, and its basis and silu dropped once read, so that layer's
+        # reads are gone before the next basis-sized array is made
+        xin, silu_in, phi, s = reads.pop()
         coef_grads[li] = (delta.T @ phi).reshape(layer.coef.shape)
         base_grads[li] = delta.T @ silu_in
+        del silu_in, phi
         if li > 0:
-            shape = (xin.shape[0], layer.in_dim, layer.spec.n_basis)
-            dphi = basis_grad_matrix(layer.spec, xin.reshape(-1)).reshape(shape)
-            w = (delta @ layer.coef.reshape(layer.out_dim, -1)).reshape(shape)
-            # np.sum(w * dphi, axis=2) as column adds in the same order: the
-            # same bits, without a reduction's cost over so short an axis
-            p = w * dphi
-            dsum = p[..., 0].copy()
-            for j in range(1, shape[2]):
-                dsum += p[..., j]
+            dsum = _spline_grad(layer, xin, delta)
             delta = (delta @ layer.base) * silu_grad(xin, s) + dsum
     return loss, np.concatenate([a.ravel() for pair in zip(coef_grads, base_grads) for a in pair])
 

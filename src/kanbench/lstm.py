@@ -22,8 +22,10 @@ the training pass stacks the columns, c, the gate activations and tanh(c)
 per wave; the reverse loop forms every layer's gate deltas at once, over
 the activations, and one matmul by the block's transposed h columns gives
 every layer's dh. Each layer's weight and bias gradients are then one
-contraction over its own live waves. The forward-only pass keeps no cache
-and updates one column buffer in place.
+contraction over its own live waves. The forward-only passes (inference and
+rollouts) keep no cache: they update one column, c and gate buffer in place
+and write tanh(c) over the g block, which the cell update has consumed, so
+they hold no tanh(c) buffer; only training keeps one, as BPTT reads it.
 
 The training pass runs in a workspace that the network keeps for its last
 batch shape (B, L) and stack: the block, its transposed h columns, the
@@ -248,9 +250,10 @@ def _waves(layers: list[LstmLayer], steps: int) -> _Waves:
 def _run_waves(net: LstmNetwork, x: np.ndarray) -> np.ndarray:
     """Push a (B, L, in_dim) batch through the stack, every layer per wave,
     and return the top layer's final (hidden, B) state. One column, c and
-    gate buffer is updated in place; only a wave's live rows are activated
-    and written: layers not yet started keep h = c = 0, and a finished
-    layer's last h is read once more, by the layer above."""
+    gate buffer is updated in place, and tanh(c) goes to the g block, which
+    nothing reads after the cell update; only a wave's live rows are
+    activated and written: layers not yet started keep h = c = 0, and a
+    finished layer's last h is read once more, by the layer above."""
     batch, steps, _ = x.shape
     waves = _waves(net.layers, steps)
     total = len(waves.block) // 4
@@ -258,13 +261,12 @@ def _run_waves(net: LstmNetwork, x: np.ndarray) -> np.ndarray:
     cols[-1] = 1.0
     cs = np.zeros((total, batch))
     z = np.empty((4, total, batch))
-    tanh_c = np.empty((total, batch))
     xs = x.transpose(1, 2, 0)
     for w, (a, b) in enumerate(waves.live):
         if w < steps:
             cols[total:-1] = xs[w]
         np.matmul(waves.block, cols, out=z.reshape(4 * total, batch))
-        _cell(*_gates(z[:, a:b]), cs[a:b], cs[a:b], tanh_c[a:b], cols[a:b])
+        _cell(*_gates(z[:, a:b]), cs[a:b], cs[a:b], z[3, a:b], cols[a:b])
     return cols[: net.layers[-1].hidden]
 
 
@@ -279,8 +281,8 @@ def _cell(ifo, g, i, f, o, c, c_out, tc_out, h_out):
     """The cell update on gate pre-activations, as ``_gates`` splits them:
     one sigmoid over i, f, o and one tanh over g, in place, then
     c' = f*c + i*g into ``c_out`` (which may be ``c``), tanh(c') into
-    ``tc_out`` (which holds i*g before that) and h' = o*tanh(c') into
-    ``h_out``."""
+    ``tc_out`` (which holds i*g before that, and may be ``g``, for a pass
+    that keeps no cache) and h' = o*tanh(c') into ``h_out``."""
     sigmoid(ifo, out=ifo)
     np.tanh(g, out=g)
     c = np.multiply(f, c, out=c_out)
@@ -326,14 +328,14 @@ def _rollout_waves(net: LstmNetwork, encoded, live):
     (n layers), so it reads that pseudo-row at its local wave L - 1, one
     wave after the prediction exists, and a segment of ``count`` steps
     takes n·(count - 1) + L + n - 1 waves. Each segment has its own slot
-    buffers (column, c, tanh(c) and gates), one slot per step in flight,
-    and its in-flight steps run in one stacked matmul per wave, every row
-    through one sigmoid and one tanh. A slot's matmul keeps the width
-    (live[s] columns) that lstm_forward_batch gives that window, so each
-    prediction equals the step loop's bit for bit. Rows of layers that have
-    not started in the newest step are reset to h = c = 0 after each wave;
-    layers that have finished compute finite values that no live layer
-    reads. The rows live in a ring of L rows, row r at r mod L, which
+    buffers (column, c and gates, whose g block takes tanh(c)), one slot per
+    step in flight, and its in-flight steps run in one stacked matmul per
+    wave, every row through one sigmoid and one tanh. A slot's matmul keeps
+    the width (live[s] columns) that lstm_forward_batch gives that window,
+    so each prediction equals the step loop's bit for bit. Rows of layers
+    that have not started in the newest step are reset to h = c = 0 after
+    each wave; layers that have finished compute finite values that no live
+    layer reads. The rows live in a ring of L rows, row r at r mod L, which
     carries over from one segment to the next.
     """
     x = _check_batch(net, _windows(encoded), trusted=isinstance(encoded, Encoded))
@@ -351,7 +353,6 @@ def _rollout_waves(net: LstmNetwork, encoded, live):
         cols = np.zeros((slots, waves.block.shape[1], width))
         cols[:, -1] = 1.0
         cs = np.zeros((slots, total, width))
-        tanh_c = np.empty((slots, total, width))
         z = np.empty((slots, 4, total, width))
         # step s runs its local wave ``wave`` - n·s in slot (s - first) mod
         # slots, reading row (local wave) + s
@@ -364,7 +365,7 @@ def _rollout_waves(net: LstmNetwork, encoded, live):
                 cs[j] = 0.0
             cols[:, total:-1] = ring[(wave - (n - 1) * owner) % steps, :, :width]
             np.matmul(waves.block, cols, out=z.reshape(slots, 4 * total, width))
-            _cell(*_gates(z.swapaxes(0, 1)), cs, cs, tanh_c, cols[:, :total])
+            _cell(*_gates(z.swapaxes(0, 1)), cs, cs, z[:, 3], cols[:, :total])
             if front < n - 1 and newest < stop:  # layers above the front have not started
                 cols[j, : waves.pos[front]] = 0.0
                 cs[j, : waves.pos[front]] = 0.0
@@ -372,7 +373,7 @@ def _rollout_waves(net: LstmNetwork, encoded, live):
             if done >= first and not off:
                 new = yield _head(net, cols[(done - first) % slots, :top])
                 ring[done % steps, :, : live[done + 1]] = _windows(new)[:, 0].T
-        del cols, cs, tanh_c, z  # one segment's buffers at a time
+        del cols, cs, z  # one segment's buffers at a time
 
 
 class _Workspace:

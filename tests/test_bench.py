@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +42,22 @@ from kanbench.bench import (
     save_results,
 )
 from kanbench.bspline import SplineSpec
-from kanbench.data import CLOSE, gen_synthetic, make_regime, scaler_fit, write_csv
+from kanbench.data import (
+    CLOSE,
+    WindowedDataset,
+    gen_synthetic,
+    make_regime,
+    make_windows,
+    scaler_fit,
+    write_csv,
+)
 from kanbench.kan import kan_init
 from kanbench.lstm import lstm_init
 from kanbench.numcore import make_rng
 from kanbench.optim import TrainConfig
+
+
+HEADLINE = Path(__file__).resolve().parent.parent / "configs" / "headline.json"
 
 
 def tiny_config(model="kan", regime="normal", seed=0, name="", **train_kw):
@@ -311,10 +323,15 @@ class StepAheadOracle:
 
 
 def fabricate_prepared(n_rows, lookback, n_train, seed=0):
+    """A one-feature series split after ``n_train`` one-step windows, as
+    ``prepare`` splits it: test window i starts at row n_train + i."""
     scaled = make_rng(seed).uniform(size=(n_rows, 1))
+    windows = make_windows(scaled, lookback, 1, target_col=0)
+    train, test = (WindowedDataset(windows.inputs[part], windows.targets[part], lookback, 1)
+                   for part in (slice(None, n_train), slice(n_train, None)))
     return PreparedData(
         scaled=scaled, scaler=None, target_col=0, n_train=n_train,
-        train=None, test=None, lookback=lookback,
+        train=train, test=test, lookback=lookback,
     )
 
 
@@ -475,6 +492,22 @@ class TestRunExperiment:
         assert json.loads(outs[0])["failure"] is None
         assert outs[0] == outs[1]
 
+    def test_headline_lstm_experiment_holds_its_working_set(self):
+        # windows are views of the series and forward-only passes keep no
+        # tanh(c) buffer, so the peak is the rollout's slot buffers and the
+        # series; two epochs train on the same shapes as the headline's 40
+        headline = next(c for c in load_matrix(HEADLINE) if c.model == "lstm")
+        cfg = dataclasses.replace(headline, train=dataclasses.replace(headline.train, max_epochs=2))
+        run_experiment(tiny_config("lstm"))  # warm
+        tracemalloc.start()
+        try:
+            result = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.failure is None
+        assert peak <= 3.2e6
+
     def test_canonical_json_excludes_wall_clock(self):
         result = run_experiment(tiny_config("kan"))
         payload = json.loads(result_canonical_json(result))
@@ -527,7 +560,7 @@ class TestRunMatrix:
 
 class TestHeadlineMatrix:
     def test_three_regimes_two_models_three_seeds(self):
-        configs = load_matrix(Path(__file__).resolve().parent.parent / "configs" / "headline.json")
+        configs = load_matrix(HEADLINE)
         assert sorted((c.data.regime, c.model, c.seed) for c in configs) == sorted(
             itertools.product(("normal", "volatile", "trending"), ("kan", "lstm"), (0, 1, 2))
         )

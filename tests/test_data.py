@@ -2,6 +2,7 @@
 scaling, windowing with an enumeration oracle, splits, synthetic generator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,25 @@ class TestMakeWindows:
                     for i in (0, n - 1):  # boundary samples; interiors follow by slicing
                         assert np.array_equal(ds.inputs[i], scaled[i : i + lookback])
                         assert ds.targets[i] == scaled[i + lookback + horizon - 1, 0]
+
+    def test_windows_are_a_read_only_view_of_the_series(self):
+        # a fit's windows at the headline shape: n·L·F values as a copy,
+        # none as a view of the (n + L, F) series
+        scaled = make_rng(5).uniform(size=(1250, 6))
+        tracemalloc.start()
+        try:
+            ds = make_windows(scaled, lookback=20, horizon=1, target_col=CLOSE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.inputs.shape == (1230, 20, 6)
+        assert np.shares_memory(ds.inputs, scaled)
+        assert not ds.inputs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.inputs[0, 0, 0] = 1.0
+        assert peak <= 0.05 * ds.inputs.size * 8
+        train, test = chrono_split(ds, 0.8)
+        assert np.shares_memory(train.inputs, scaled) and np.shares_memory(test.inputs, scaled)
 
     def test_too_short_names_minimum(self):
         with pytest.raises(ValueError, match="at least 25"):

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kanbench import lstm
+from kanbench import kan as kan_module, lstm
 from kanbench.bspline import SplineSpec
 from kanbench.data import ADJ_CLOSE, CLOSE, MinMaxScaler
 from kanbench.forecast import (
@@ -310,6 +310,37 @@ class TestBoundedTape:
         iterative_forecast_batch(spy, windows, horizon)
         rows = lookback + min(horizon, lookback) - 1
         assert {base.shape for base in spy.bases} == {(2, rows, 1)}
+
+
+    def test_kan_reads_its_tape_without_copying(self, monkeypatch):
+        # after tape slides and with a shrinking prefix, the first layer's
+        # matmul still reads views of the tape: the encoded pair reaches it
+        # through reshapes only, never a copy
+        lookback, n_features = 4, 6
+        model = tiny_model("kan", n_features, lookback, 27)
+        tapes, reads = [], []
+        predict, contract = model.predict_window_batch, kan_module._contract
+
+        def spy_predict(encoded):
+            tapes.append([a.base for a in encoded])
+            return predict(encoded)
+
+        def spy_contract(layer, silu_x, phi):
+            if layer is model.layers[0]:
+                reads.append((silu_x, phi))
+            return contract(layer, silu_x, phi)
+
+        monkeypatch.setattr(model, "predict_window_batch", spy_predict)
+        monkeypatch.setattr(kan_module, "_contract", spy_contract)
+        horizons = [11, 11, 9, 6, 6, 3, 1]  # the 7-row tape slides after steps 4 and 8
+        windows = make_rng(28).uniform(0.1, 0.9, size=(len(horizons), lookback, n_features))
+        iterative_forecast_batch(model, windows, horizons)
+        assert [len(s) for s, _ in reads] == [7, 6, 6, 5, 5, 5, 3, 3, 3, 2, 2]
+        silu_tape, basis_tape = tapes[0]
+        assert silu_tape.shape == (7, 7, n_features)
+        for (silu_x, phi), bases in zip(reads, tapes):
+            assert bases[0] is silu_tape and bases[1] is basis_tape
+            assert np.shares_memory(silu_x, silu_tape) and np.shares_memory(phi, basis_tape)
 
 
 class TestPerWindowHorizons:

@@ -191,6 +191,23 @@ class TestEncode:
             tracemalloc.stop()
         assert peak <= 1.25 * (silu_x.nbytes + basis.nbytes)
 
+    def test_backward_peaks_at_a_few_hidden_bases(self):
+        # a full-batch loss+grad at the headline shape: each layer's basis
+        # and silu go once its gradient is formed, and w·dphi goes into w,
+        # so besides its input the call holds about two hidden-layer bases
+        net = kan_init([20 * 6, 8, 1], SplineSpec(3, 2), make_rng(40))
+        rng = make_rng(41)
+        silu_x, basis = net.encode(rng.uniform(-0.1, 1.1, size=(984, 20, 6)))
+        y = rng.uniform(size=984)
+        kan_backward(net, silu_x, basis, y)
+        tracemalloc.start()
+        try:
+            kan_backward(net, silu_x, basis, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (984 * 8 * 5 * 8)
+
     def test_encoded_features_are_scanned_once(self, monkeypatch):
         # encode rejects non-finite input itself; training (both optimizers),
         # a rollout and a raw-window prediction never scan its features again

@@ -327,6 +327,47 @@ ORACLE_CASES = [
 ]
 
 
+class TestForwardOnlyPasses:
+    # inference and rollouts write tanh(c) over the consumed g block, where
+    # training keeps a tanh(c) buffer for BPTT: the two must agree bit for bit
+
+    @pytest.mark.parametrize("layers,head,batch,steps", [
+        (1, "linear", 5, 7), (2, "tanh", 4, 1), (2, "linear", 32, 20), (3, "tanh", 3, 2)])
+    def test_predictions_equal_the_training_pass_bit_for_bit(
+            self, monkeypatch, layers, head, batch, steps):
+        net = small_net(input_dim=3, hidden=4, layers=layers, seed=60 + layers, head=head)
+        rng = make_rng(61)
+        x = rng.normal(size=(batch, steps, 3))
+        y = rng.normal(size=batch)
+        heads = []
+        read = lstm._head
+
+        def spy(net, top):  # the prediction that lstm_loss_and_grad's residual subtracts from
+            heads.append(read(net, top))
+            return heads[-1]
+
+        monkeypatch.setattr(lstm, "_head", spy)
+        lstm_loss_and_grad(net, x, y)
+        (trained,) = heads
+        assert np.array_equal(lstm_forward_batch(net, x), trained)
+        assert np.array_equal(iterative_forecast_batch(net, x, 1, close_col=0)[:, 0], trained)
+
+    def test_forward_batch_holds_no_tanh_c_buffer(self):
+        # a full-batch forward at the headline shape (B=984, L=20, 2x10):
+        # columns 27, c 20 and gates 80 float64 per batch column, and the
+        # prediction; a tanh(c) buffer would add 20
+        net = lstm_init(6, 10, 2, make_rng(62))
+        x = make_rng(63).normal(size=(984, 20, 6))
+        lstm_forward_batch(net, x)
+        tracemalloc.start()
+        try:
+            lstm_forward_batch(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * 984) <= 135
+
+
 class TestPerGateOracle:
     @pytest.mark.parametrize("layers,head,batch,steps", ORACLE_CASES)
     def test_forward_and_gradient_match(self, layers, head, batch, steps):
