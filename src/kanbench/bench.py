@@ -48,7 +48,7 @@ from .forecast import iterative_forecast_batch
 from .kan import kan_init
 from .lstm import HEAD_ACTIVATIONS, lstm_init
 from .metrics import rmse
-from .numcore import check_int, check_real, make_rng
+from .numcore import check_int, check_real, checkpoint_field, checkpoint_numbers, make_rng
 from .optim import TrainConfig, TrainingDiverged, train
 
 # Cap on anchors × horizon for each horizon's anchor set; the anchors are
@@ -450,32 +450,50 @@ def result_canonical_json(result: ExperimentResult) -> str:
     return json.dumps(result_to_dict(result, include_wall=False), sort_keys=True)
 
 
+def _horizon_from_dict(h, where: str) -> HorizonSummary:
+    """A saved horizon summary, refusing a missing or unknown field, no
+    anchor, a non-finite RMSE, or a sample trace that is not h numbers."""
+    fields = [f.name for f in dataclasses.fields(HorizonSummary)]
+    values = {key: checkpoint_field(h, key, where) for key in fields}
+    if unknown := sorted(set(h) - set(fields)):
+        raise ValueError(f"{where} has unknown field {unknown[0]!r}")
+    horizon = check_int(values["horizon"], f"{where}.horizon")
+    check_int(values["n_anchors"], f"{where}.n_anchors")
+    check_real(values["rmse"], f"{where}.rmse", at_least=0)
+    for key in ("sample_pred", "sample_actual"):
+        steps = checkpoint_numbers(values[key], f"{where}.{key} must be a list of numbers")
+        if steps.shape != (horizon,):
+            raise ValueError(f"{where}.{key} has {len(steps)} steps, not horizon {horizon}")
+    return HorizonSummary(**values)
+
+
 def result_from_dict(d: dict) -> ExperimentResult:
     """Rebuild a saved record (a None RMSE reads as NaN), refusing one that no
-    run makes: a failure that carries horizons, or a horizon without an
-    anchor, without a finite RMSE, or with a sample trace not h steps long."""
-    result = ExperimentResult(
-        config=config_from_dict(d["config"]),
-        train_rmse=math.nan if d["train_rmse"] is None else d["train_rmse"],
-        test_rmse=math.nan if d["test_rmse"] is None else d["test_rmse"],
-        wall_seconds=d.get("wall_seconds", 0.0),
-        epochs_run=d["epochs_run"],
-        horizons=[HorizonSummary(**h) for h in d["horizons"]],
-        version=d["version"],
+    run makes: a missing or mistyped field, a failure that carries horizons,
+    or an impossible horizon. Each refusal is a ValueError naming the field."""
+    config = config_from_dict(checkpoint_field(d, "config", "result"))
+    where = f"result {config.label} (seed {config.seed})"
+
+    def rmse(key):  # a failure's RMSEs are saved as None
+        value = checkpoint_field(d, key, where)
+        return math.nan if value is None else check_real(value, f"{where}: {key}", at_least=0)
+
+    horizons = checkpoint_field(d, "horizons", where)
+    if not isinstance(horizons, list):
+        raise ValueError(f"{where}: horizons must be a list")
+    if d.get("failure") is not None and horizons:
+        raise ValueError(f"{where}: failure record carries horizons")
+    return ExperimentResult(
+        config=config,
+        train_rmse=rmse("train_rmse"),
+        test_rmse=rmse("test_rmse"),
+        wall_seconds=check_real(d.get("wall_seconds", 0.0), f"{where}: wall_seconds", at_least=0),
+        epochs_run=check_int(checkpoint_field(d, "epochs_run", where), f"{where}: epochs_run", 0),
+        horizons=[_horizon_from_dict(h, f"{where}: horizons[{i}]")
+                  for i, h in enumerate(horizons)],
+        version=checkpoint_field(d, "version", where),
         failure=d.get("failure"),
     )
-    where = f"result {result.config.label} (seed {result.config.seed})"
-    if result.failure is not None and result.horizons:
-        raise ValueError(f"{where}: failure record carries horizons")
-    for i, h in enumerate(result.horizons):
-        field = f"{where}: horizons[{i}]"
-        check_int(h.n_anchors, f"{field}.n_anchors")
-        check_real(h.rmse, f"{field}.rmse")
-        for key in ("sample_pred", "sample_actual"):
-            if len(getattr(h, key)) != h.horizon:
-                raise ValueError(f"{field}.{key} has {len(getattr(h, key))} steps, "
-                                 f"not horizon {h.horizon}")
-    return result
 
 
 def save_results(results, path) -> None:
@@ -487,7 +505,10 @@ def save_results(results, path) -> None:
 def load_results(path):
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    return [result_from_dict(d) for d in payload["results"]]
+    records = checkpoint_field(payload, "results", f"results file {path}")
+    if not isinstance(records, list):
+        raise ValueError(f"results file {path}: 'results' must be a list")
+    return [result_from_dict(d) for d in records]
 
 
 def load_matrix(path):

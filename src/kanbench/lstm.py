@@ -22,10 +22,7 @@ the training pass stacks the columns, c, the gate activations and tanh(c)
 per wave; the reverse loop forms every layer's gate deltas at once, over
 the activations, and one matmul by the block's transposed h columns gives
 every layer's dh. Each layer's weight and bias gradients are then one
-contraction over its own live waves. The forward-only passes (inference and
-rollouts) keep no cache: they update one column, c and gate buffer in place
-and write tanh(c) over the g block, which the cell update has consumed, so
-they hold no tanh(c) buffer; only training keeps one, as BPTT reads it.
+contraction over its own live waves.
 
 The training pass runs in a workspace that the network keeps for its last
 batch shape (B, L) and stack: the block, its transposed h columns, the
@@ -34,16 +31,14 @@ batch shape (an epoch's shorter last minibatch) replaces it, inference drops
 it (``train`` predicts after every epoch), and copies and pickles leave it
 out. Networks trained in parallel threads each use their own.
 
-A rollout runs the same waves across its steps (``rollout_steps``): step
-s's window starts n waves after step s - 1's, whose prediction it first
-reads at its own wave L - 1, so the windows in flight share each wave's
-stacked matmul and gate activations and H steps take n·(H - 1) + L + n - 1
-waves instead of H·(L + n - 1). With per-window horizons the steps fall
-into segments, the runs of steps that roll equally many windows; the
-segments run back to back, each in its own buffers, so a segment of
-``count`` steps takes n·(count - 1) + L + n - 1 waves. Every step keeps the
-matmul width the step loop would give it, so its prediction is the step
-loop's bit for bit.
+Inference and rollouts share one forward-only pass, the rollout
+(``_rollout_waves``); inference is its one-step case. It keeps no cache and
+writes tanh(c) over the spent g block, so only training holds a tanh(c)
+buffer, which BPTT reads. Rollout step s starts n waves after step s - 1,
+whose prediction it reads at its own wave L - 1, so the steps in flight
+share each wave's stacked matmul and H steps take n·(H - 1) + L + n - 1
+waves instead of H·(L + n - 1). Per-window horizons split the steps into
+segments of equal live count, run back to back.
 
 ``encode`` scans its windows for finiteness once and returns them as an
 ``Encoded`` 1-tuple; as on the spline side, such a tuple, and row selections
@@ -161,11 +156,10 @@ class LstmNetwork:
         return lstm_forward_batch(self, _windows(windows), trusted=trusted)
 
     def rollout_steps(self, encoded, live):
-        """A rollout of ``encode``d seed windows for ``forecast``, as a
-        generator: it yields step s's predictions for the first live[s]
-        windows, then takes the next step's encoded pseudo-rows by ``send``."""
+        """``_rollout_waves`` over ``encode``d seed windows, for ``forecast``."""
         self._workspace = None
-        return _rollout_waves(self, encoded, live)
+        x = _check_batch(self, _windows(encoded), trusted=isinstance(encoded, Encoded))
+        return _rollout_waves(self, x, live)
 
 
 def _windows(inputs):
@@ -247,29 +241,6 @@ def _waves(layers: list[LstmLayer], steps: int) -> _Waves:
     return waves
 
 
-def _run_waves(net: LstmNetwork, x: np.ndarray) -> np.ndarray:
-    """Push a (B, L, in_dim) batch through the stack, every layer per wave,
-    and return the top layer's final (hidden, B) state. One column, c and
-    gate buffer is updated in place, and tanh(c) goes to the g block, which
-    nothing reads after the cell update; only a wave's live rows are
-    activated and written: layers not yet started keep h = c = 0, and a
-    finished layer's last h is read once more, by the layer above."""
-    batch, steps, _ = x.shape
-    waves = _waves(net.layers, steps)
-    total = len(waves.block) // 4
-    cols = np.zeros((waves.block.shape[1], batch))
-    cols[-1] = 1.0
-    cs = np.zeros((total, batch))
-    z = np.empty((4, total, batch))
-    xs = x.transpose(1, 2, 0)
-    for w, (a, b) in enumerate(waves.live):
-        if w < steps:
-            cols[total:-1] = xs[w]
-        np.matmul(waves.block, cols, out=z.reshape(4 * total, batch))
-        _cell(*_gates(z[:, a:b]), cs[a:b], cs[a:b], z[3, a:b], cols[a:b])
-    return cols[: net.layers[-1].hidden]
-
-
 def _gates(z):
     """The i, f, o block, the g block, then i, f and o, of gate values ``z``
     (i, f, o, g along its first axis)."""
@@ -314,38 +285,37 @@ def lstm_forward_batch(net: LstmNetwork, inputs, *, trusted: bool = False) -> np
     """Scalar prediction per sequence in a (B, L, F) batch; ``trusted``
     windows come from ``encode`` and skip the finiteness scan."""
     x = _check_batch(net, inputs, trusted)
-    return _head(net, _run_waves(net, x))
+    return next(_rollout_waves(net, x, [len(x)]))
 
 
-def _rollout_waves(net: LstmNetwork, encoded, live):
-    """Generator behind ``LstmNetwork.rollout_steps``: the step wavefront.
+def _rollout_waves(net: LstmNetwork, x: np.ndarray, live):
+    """The forward-only wavefront, as a generator: it yields step s's
+    predictions for the first live[s] of the checked (B, L, in_dim) windows
+    ``x``, then takes the next step's encoded pseudo-rows by ``send``.
+    Inference is the one-step case, ``live`` = [B].
 
-    Rollout step s is the stack run over the window of rows s .. s + L - 1,
-    where row L + s - 1 (s > 0) is the pseudo-row made from step s - 1's
-    predictions. The steps run in segments, the runs of steps that roll
-    equally many windows (live[s]), one segment to completion before the
-    next starts. Within a segment, step s starts n waves after step s - 1
-    (n layers), so it reads that pseudo-row at its local wave L - 1, one
-    wave after the prediction exists, and a segment of ``count`` steps
-    takes n·(count - 1) + L + n - 1 waves. Each segment has its own slot
-    buffers (column, c and gates, whose g block takes tanh(c)), one slot per
-    step in flight, and its in-flight steps run in one stacked matmul per
-    wave, every row through one sigmoid and one tanh. A slot's matmul keeps
-    the width (live[s] columns) that lstm_forward_batch gives that window,
-    so each prediction equals the step loop's bit for bit. Rows of layers
-    that have not started in the newest step are reset to h = c = 0 after
-    each wave; layers that have finished compute finite values that no live
-    layer reads. The rows live in a ring of L rows, row r at r mod L, which
-    carries over from one segment to the next.
+    Step s runs the stack over rows s .. s + L - 1; row L + s - 1 (s > 0) is
+    the pseudo-row from step s - 1's predictions. The runs of steps that roll
+    equally many windows (live[s]) are segments, run one after another, each
+    with its own buffers (columns, c and gates), one slot per step in flight.
+    Within a segment step s starts n waves after step s - 1, so a segment of
+    ``count`` steps takes n·(count - 1) + L + n - 1 waves, and a slot's matmul
+    keeps the width live[s]: every prediction is the step loop's bit for bit.
+    A segment with one slot (inference, one-step segments, 1-step windows)
+    reads its row as a view and activates only its live layers, as training
+    does. With more slots every row is activated (finished layers compute
+    values no live layer reads), and the rows of layers the newest step has
+    not started are reset to h = c = 0 after each wave. Rows live in a ring
+    of L rows, row r at r mod L, which carries over from segment to segment.
     """
-    x = _check_batch(net, _windows(encoded), trusted=isinstance(encoded, Encoded))
     steps = x.shape[1]
     n = len(net.layers)
     waves = _waves(net.layers, steps)
     total = len(waves.block) // 4
     top = net.layers[-1].hidden
     span = steps + n - 1  # waves of one rollout step
-    ring = x.transpose(1, 2, 0).copy()  # (L, in_dim, B)
+    # (L, in_dim, B): a view of x, as a one-step rollout writes no pseudo-row into it
+    ring = x.transpose(1, 2, 0) if len(live) == 1 else x.transpose(1, 2, 0).copy()
     cuts = [0, *(np.flatnonzero(np.diff(live)) + 1), len(live)]
     for first, stop in zip(cuts, cuts[1:]):
         width, slots = live[first], min(-(-span // n), stop - first)
@@ -363,9 +333,16 @@ def _rollout_waves(net: LstmNetwork, encoded, live):
                 owner[j] = newest
                 cols[j, :total] = 0.0
                 cs[j] = 0.0
-            cols[:, total:-1] = ring[(wave - (n - 1) * owner) % steps, :, :width]
+            if slots == 1:  # an int row (a view, not a gather) and the live rows only
+                row = wave - (n - 1) * owner[0]
+                a, b = waves.live[row - owner[0]]
+                gates, c, h = z[0, :, a:b], cs[0, a:b], cols[0, a:b]
+            else:
+                row = wave - (n - 1) * owner
+                gates, c, h = z.swapaxes(0, 1), cs, cols[:, :total]
+            cols[:, total:-1] = ring[row % steps, :, :width]
             np.matmul(waves.block, cols, out=z.reshape(slots, 4 * total, width))
-            _cell(*_gates(z.swapaxes(0, 1)), cs, cs, z[:, 3], cols[:, :total])
+            _cell(*_gates(gates), c, c, gates[3], h)
             if front < n - 1 and newest < stop:  # layers above the front have not started
                 cols[j, : waves.pos[front]] = 0.0
                 cs[j, : waves.pos[front]] = 0.0
@@ -373,7 +350,7 @@ def _rollout_waves(net: LstmNetwork, encoded, live):
             if done >= first and not off:
                 new = yield _head(net, cols[(done - first) % slots, :top])
                 ring[done % steps, :, : live[done + 1]] = _windows(new)[:, 0].T
-        del cols, cs, z  # one segment's buffers at a time
+        del cols, cs, z, gates, c, h  # one segment's buffers, and views of them, at a time
 
 
 class _Workspace:

@@ -712,8 +712,9 @@ class TestSerialization:
         assert math.isnan(load_results(path)[1].test_rmse)
 
     @staticmethod
-    def record(**changes):
+    def record(drop=None, **changes):
         d = result_to_dict(fake_result("kan", "normal", [(1, 0.02), (2, 0.03)]))
+        d["horizons"][1].pop(drop, None)
         d["horizons"][1].update(changes)
         return d
 
@@ -728,6 +729,44 @@ class TestSerialization:
         with pytest.raises(ValueError,
                            match=rf"result kan-g3k2h8 \(seed 0\): horizons\[1\]\.{field}"):
             result_from_dict(self.record(**changes))
+
+    @pytest.mark.parametrize("drop,changes,match", [
+        ("train_rmse", {}, r"\(seed 0\) is missing field 'train_rmse'"),
+        ("epochs_run", {}, r"\(seed 0\) is missing field 'epochs_run'"),
+        ("version", {}, r"\(seed 0\) is missing field 'version'"),
+        ("horizons", {}, r"\(seed 0\) is missing field 'horizons'"),
+        ("config", {}, r"result is missing field 'config'"),
+        (None, {"epochs_run": "3"}, r"\(seed 0\): epochs_run must be an int"),
+        (None, {"wall_seconds": "x"}, r"\(seed 0\): wall_seconds must be"),
+        (None, {"test_rmse": "0.1"}, r"\(seed 0\): test_rmse must be"),
+        (None, {"horizons": {}}, r"\(seed 0\): horizons must be a list"),
+    ])
+    def test_malformed_record_names_field(self, drop, changes, match):
+        d = {**self.record(), **changes}
+        d.pop(drop, None)
+        with pytest.raises(ValueError, match=match):
+            result_from_dict(d)
+
+    @pytest.mark.parametrize("changes,match", [
+        ({"extra": 1}, r"horizons\[1\] has unknown field 'extra'"),
+        ({"horizon": 2.0}, r"horizons\[1\]\.horizon must be an int"),
+        ({"sample_pred": ["0.5", 0.5]}, r"horizons\[1\]\.sample_pred must be a list of numbers"),
+        ({"drop": "rmse"}, r"horizons\[1\] is missing field 'rmse'"),
+    ])
+    def test_malformed_horizon_names_field(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            result_from_dict(self.record(**changes))
+
+    @pytest.mark.parametrize("payload,match", [
+        ({"records": []}, "is missing field 'results'"),
+        ({"results": {}}, "'results' must be a list"),
+        ([], "must be an object"),
+    ])
+    def test_malformed_results_file_names_field(self, tmp_path, payload, match):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=match):
+            load_results(path)
 
     def test_failure_carrying_horizons_rejected(self):
         d = {**self.record(), "failure": "diverged"}

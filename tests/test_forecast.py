@@ -498,6 +498,31 @@ class TestStepWavefront:
         alone = max(peak(windows, 2), peak(windows[:16], 12))
         assert peak(windows, [12] * 16 + [2] * 48) <= 1.25 * alone
 
+    def test_a_segment_frees_its_buffers_before_the_next_allocates(self, monkeypatch):
+        # 256 windows roll 2 steps in 2 slots, then 32 of them 11 more steps
+        # in 11 slots of (27 + 20 + 80) float64 per window: the second
+        # segment's buffers are allocated only once the first one's, and
+        # every view of them, are gone
+        second = 11 * (27 + 20 + 80) * 32 * 8
+        marks = []
+        head = lstm._head
+
+        def measured(net, top):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return head(net, top)
+
+        net = lstm_init(6, hidden=10, n_layers=2, rng=make_rng(72))
+        windows = make_rng(73).uniform(0.1, 0.9, size=(256, 20, 6))
+        monkeypatch.setattr(lstm, "_head", measured)
+        tracemalloc.start()
+        try:
+            iterative_forecast_batch(net, windows, [13] * 32 + [2] * 224)
+        finally:
+            tracemalloc.stop()
+        (current, _), (_, peak) = marks[1], marks[2]  # the last step of one, the first of the next
+        assert peak - current < second / 2
+
     def test_non_finite_prediction_raises_at_its_step(self, monkeypatch):
         head = lstm._head
         calls = []

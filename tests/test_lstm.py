@@ -307,7 +307,7 @@ class TestForwardOracle:
         def computed(*args, **kwargs):
             raise AssertionError("computation started on rejected input")
 
-        monkeypatch.setattr(lstm, "_run_waves", computed)  # the forward pass
+        monkeypatch.setattr(lstm, "_rollout_waves", computed)  # the forward pass
         monkeypatch.setattr(lstm, "_training_workspace", computed)  # the training pass
         for features in ((bad,), (bad[[2, 0]],), (bad[1:3],)):
             with pytest.raises(ValueError, match="finite"):
@@ -351,6 +351,25 @@ class TestForwardOnlyPasses:
         (trained,) = heads
         assert np.array_equal(lstm_forward_batch(net, x), trained)
         assert np.array_equal(iterative_forecast_batch(net, x, 1, close_col=0)[:, 0], trained)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_one_step_rollout_does_the_forward_gate_work(self, monkeypatch, layers):
+        # inference is a one-step rollout: both activate the live rows of
+        # each wave only, 3·hidden·B gate elements per layer-step
+        sizes = []
+
+        def counted(x, **kwargs):
+            sizes.append(np.size(x))
+            return sigmoid(x, **kwargs)
+
+        monkeypatch.setattr(lstm, "sigmoid", counted)
+        net = small_net(input_dim=6, hidden=4, layers=layers, seed=64 + layers)
+        windows = make_rng(65).uniform(0.1, 0.9, size=(5, 7, 6))
+        iterative_forecast_batch(net, windows, 1)
+        rolled = sum(sizes)
+        sizes.clear()
+        lstm_forward_batch(net, windows)
+        assert rolled == sum(sizes) == 3 * 4 * 5 * layers * 7
 
     def test_forward_batch_holds_no_tanh_c_buffer(self):
         # a full-batch forward at the headline shape (B=984, L=20, 2x10):
