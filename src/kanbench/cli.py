@@ -37,7 +37,18 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
-        raise _UsageError(message)
+        raise _UsageError(message, self.format_usage())
+
+
+def _positive_int(text: str) -> int:
+    """An int >= 1 from a flag's text; argparse names the flag in the error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,14 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="roll a checkpoint forward H steps")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--horizon", required=True, type=int)
+    p.add_argument("--horizon", required=True, type=_positive_int)
     p.add_argument("--out", required=True, help="trace CSV to write")
     p.set_defaults(func=_cmd_forecast)
 
     p = sub.add_parser("benchmark", help="run an experiment matrix and report")
     p.add_argument("--matrix", required=True, help="matrix JSON (list of configs)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=_positive_int, default=1)
     p.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     p.add_argument("--best", action="store_true", help="keep only each cell's best config")
     p.set_defaults(func=_cmd_benchmark)
@@ -139,8 +150,6 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_forecast(args) -> None:
-    if args.horizon < 1:
-        raise ValueError("--horizon must be >= 1")
     with open(args.checkpoint, encoding="utf-8") as fh:
         bundle = json.load(fh)
     loaders = {"kan": kan.from_json_dict, "lstm": lstm.from_json_dict}
@@ -194,8 +203,9 @@ def dispatch(argv) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        print(parser.format_usage(), file=sys.stderr, end="")
+        message, usage = err.args  # usage of the (sub)command whose flags were bad
+        print(f"usage error: {message}", file=sys.stderr)
+        print(usage, file=sys.stderr, end="")
         return 1
     try:
         args.func(args)

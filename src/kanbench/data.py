@@ -3,9 +3,11 @@ plus a deterministic geometric-Brownian-motion generator for synthetic series.
 
 The CSV schema is fixed: header ``date,open,high,low,close,adj_close,volume``,
 UTF-8, ``.`` decimal separator, missing numerics as an empty field or ``NaN``.
-Scaling is Min-Max to [0, 1] with parameters fit on training rows only;
-windowing pairs an L-row lookback block with the scaled close H steps after
-the block ends, and the blocks are read-only views of the scaled series.
+Scaling is Min-Max to [0, 1] with parameters fit on training rows only, and
+the scaled series is row-major (C order) whatever the layout of the rows it
+scales; windowing pairs an L-row lookback block with the scaled close H
+steps after the block ends, and the blocks are read-only views of the scaled
+series, so each window is row-major too.
 """
 
 import csv
@@ -125,9 +127,16 @@ class MinMaxScaler:
             raise ValueError("max < min in scaler")
 
     def transform(self, rows) -> np.ndarray:
+        """The rows scaled to [0, 1] per feature, as a new row-major array.
+
+        Row-major whatever the layout of ``rows``: a column selection such
+        as ``values[:, cols]`` is column-major, and windows of a
+        column-major series would be too, so every reader of their
+        features would need its own row-major copy.
+        """
         rows = np.asarray(rows, dtype=np.float64)
         span = self.maxs - self.mins
-        out = np.empty_like(rows, dtype=np.float64)
+        out = np.empty(rows.shape)
         const = span == 0.0
         safe = np.where(const, 1.0, span)
         out[...] = (rows - self.mins) / safe
@@ -184,7 +193,9 @@ def make_windows(scaled, lookback: int, horizon: int, target_col: int = CLOSE) -
     The inputs are a read-only sliding-window view of ``scaled`` (as float64),
     not a copy: consecutive windows share L - 1 rows, so a copy would hold
     about L times the series' values. A row selection such as a minibatch
-    (``inputs[idx]``) copies only the windows it takes.
+    (``inputs[idx]``) copies only the windows it takes. The view keeps the
+    series' layout: windows of a row-major series (as ``MinMaxScaler.transform``
+    makes) are row-major, each window's L·F values one contiguous run.
     """
     scaled = np.asarray(scaled, dtype=np.float64)
     if scaled.ndim != 2:

@@ -84,13 +84,13 @@ def _window_horizons(horizon, n_windows: int):
     if h.dtype.kind not in "iu" or h.ndim > 1 or (h.ndim == 1 and h.shape != (n_windows,)):
         raise ValueError(f"horizon must be an int or {n_windows} ints, one per window, "
                          f"got {horizon!r}")
-    if h.size and h.min() < 1:
+    if h.min() < 1:
         raise ValueError("horizon must be >= 1")
     if h.ndim == 0:
         return np.full(n_windows, int(h)), int(h)
     if np.any(np.diff(h) > 0):
         raise ValueError("per-window horizons must be non-increasing")
-    return h, int(h[0]) if n_windows else 0
+    return h, int(h[0])
 
 
 def iterative_forecast_batch(
@@ -102,12 +102,15 @@ def iterative_forecast_batch(
     """Roll many (L, F) windows forward at once; returns (B, max H) predictions.
 
     ``horizon`` is one int for every window, or one per window in
-    non-increasing order; a window's row is NaN past its own horizon.
+    non-increasing order; a window's row is NaN past its own horizon. A
+    batch of no windows is refused, whatever the horizon.
     """
     windows = np.asarray(seed_windows, dtype=np.float64)
     if windows.ndim != 3:
         raise ValueError(f"seed windows must be 3-D (B, L, F), got shape {windows.shape}")
     n = windows.shape[0]
+    if n == 0:
+        raise ValueError(f"seed windows must hold at least one window, got shape {windows.shape}")
     horizons, h_max = _window_horizons(horizon, n)
     close_col, adj_close_col = _close_columns(windows.shape[2], close_col)
     # windows still rolling at each step: a prefix, as horizons do not increase

@@ -109,7 +109,10 @@ class KanNetwork:
         the features are read. Besides the two feature arrays it allocates
         nothing of their size: the basis is evaluated in fixed-size blocks
         straight into its array, and silu in the sigmoid's buffer, so
-        encoding a fit's training windows peaks at its features.
+        encoding a fit's training windows peaks at its features. Both arrays
+        are C-contiguous whatever the windows' layout, so every reader
+        (``_check_features`` for each L-BFGS evaluation, a rollout's tape)
+        reads them in place, without a copy.
         """
         x = np.asarray(windows, dtype=np.float64)
         if x.ndim < 2:
@@ -160,8 +163,12 @@ def kan_init(dims: list[int], spec: SplineSpec, rng: Rng) -> KanNetwork:
 def _check_features(net: KanNetwork, silu_x, basis, trusted: bool):
     """The encoded pair as (B, in_dim) and (B, in_dim·n_basis) views.
 
-    A shape that does not match the first layer, or a non-finite value in
-    an untrusted pair, raises ValueError before any computation.
+    ``encode`` makes both arrays C-contiguous, so the reshapes are views and
+    the features are read in place; so are the rows of a rollout's tape,
+    contiguous within each window. Only a pair laid out otherwise by hand
+    is copied here. A shape that does not match the first layer, or a
+    non-finite value in an untrusted pair, raises ValueError before any
+    computation.
     """
     layer = net.layers[0]
     silu_x = np.asarray(silu_x, dtype=np.float64)

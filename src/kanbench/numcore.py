@@ -41,9 +41,11 @@ def sigmoid(x, out=None):
 
     tanh cannot overflow, so finite input never produces NaN, and the result
     saturates to exactly 0 and 1 for large |x|. With ``out`` (which may be
-    ``x`` itself) the result is written there and returned.
+    ``x`` itself) the result is written there and returned; without it, the
+    result is a new C-contiguous array whatever the layout of x.
     """
-    s = np.multiply(0.5, np.asarray(x, dtype=np.float64), out=out)
+    x = np.asarray(x, dtype=np.float64)
+    s = np.multiply(0.5, x, out=np.empty(x.shape) if out is None else out)
     np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
@@ -51,8 +53,8 @@ def sigmoid(x, out=None):
 
 
 def silu(x):
-    """x·sigmoid(x), written into the sigmoid's own buffer: one array as
-    large as x."""
+    """x·sigmoid(x), written into the sigmoid's own buffer: one
+    C-contiguous array as large as x."""
     x = np.asarray(x, dtype=np.float64)
     s = sigmoid(x)
     s *= x

@@ -443,7 +443,8 @@ def test_criterion_8_runtime_instrumentation(capsys, benchmark_matrix, tmp_path)
             runtime_csv = [p for p in written if p.endswith("runtime.csv")]
             emitted_ok = bool(runtime_csv)
             if emitted_ok:
-                lines = open(runtime_csv[0]).read().splitlines()
+                with open(runtime_csv[0], encoding="utf-8") as fh:
+                    lines = fh.read().splitlines()
                 emitted_ok = (
                     lines[0] == "model,mean_wall_seconds,n_experiments"
                     and len(lines) == 4

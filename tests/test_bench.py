@@ -272,6 +272,20 @@ class TestPrepare:
         assert prepared.scaled.shape[1] == 1
         assert prepared.target_col == 0
 
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    @pytest.mark.parametrize("mode", ["ohlcv", "close_only"])
+    def test_scaled_series_is_row_major(self, tmp_path, source, mode):
+        # so the windows, views of it, are row-major and a KAN's encoded
+        # features reshape to rows without a copy
+        data = DataConfig(days=80, data_seed=3, feature_mode=mode)
+        if source == "csv":
+            path = tmp_path / "prices.csv"
+            write_csv(gen_synthetic(make_regime("normal", 80, 3)), path)
+            data = DataConfig(source="csv", csv_path=str(path), feature_mode=mode)
+        prepared = prepare(dataclasses.replace(tiny_config(), data=data))
+        assert prepared.scaled.flags.c_contiguous
+        assert np.shares_memory(prepared.train.inputs, prepared.scaled)
+
     def test_target_col_is_close(self):
         prepared = prepare(tiny_config())
         assert prepared.target_col == CLOSE
@@ -508,6 +522,23 @@ class TestRunExperiment:
         assert result.failure is None
         assert peak <= 3.2e6
 
+    def test_headline_kan_experiment_reads_its_features_in_place(self):
+        # the fit holds its encoded features, the L-BFGS pairs and one
+        # full-batch loss+grad; a column-major series would add a copy of
+        # the silu features (0.94 MB) to every L-BFGS evaluation. About
+        # 6.9 MB at two epochs, 7.8 MB with that copy
+        headline = next(c for c in load_matrix(HEADLINE) if c.model == "kan")
+        cfg = dataclasses.replace(headline, train=dataclasses.replace(headline.train, max_epochs=2))
+        run_experiment(tiny_config("kan"))  # warm
+        tracemalloc.start()
+        try:
+            result = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.failure is None
+        assert peak <= 7.3e6
+
     def test_canonical_json_excludes_wall_clock(self):
         result = run_experiment(tiny_config("kan"))
         payload = json.loads(result_canonical_json(result))
@@ -532,6 +563,10 @@ class TestRunMatrix:
         serial = [result_canonical_json(r) for r in run_matrix(configs, parallelism=1)]
         parallel = [result_canonical_json(r) for r in run_matrix(configs, parallelism=4)]
         assert serial == parallel
+
+    def test_parallelism_below_one_refused(self):
+        with pytest.raises(ValueError, match="parallelism must be >= 1"):
+            run_matrix([tiny_config("kan")], parallelism=0)
 
     def test_seed_isolation_between_experiments(self):
         solo = result_canonical_json(run_matrix([tiny_config("lstm", seed=4)])[0])

@@ -72,6 +72,19 @@ class TestUsageErrors:
         assert dispatch(["gen-data", "--regime", "sideways", "--days", "50",
                          "--out", "x.csv"]) == 1
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["forecast", "--checkpoint", "c.json", "--horizon", "0", "--out", "t.csv"], "--horizon"),
+        (["forecast", "--checkpoint", "c.json", "--horizon", "-3", "--out", "t.csv"], "--horizon"),
+        (["forecast", "--checkpoint", "c.json", "--horizon", "abc", "--out", "t.csv"], "--horizon"),
+        (["benchmark", "--matrix", "m.json", "--out-dir", "out", "--parallel", "0"], "--parallel"),
+    ])
+    def test_out_of_range_count_is_a_usage_error_naming_its_flag(self, capsys, argv, flag):
+        # checked as the flags are parsed, before any file is read
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: argument {flag}: " in err
+        assert f"usage: kanbench {argv[0]} " in err
+
 
 class TestGenData:
     def test_writes_loadable_csv(self, tmp_path, capsys):

@@ -170,6 +170,15 @@ class TestScaler:
         assert out[0, 0] == 0.5
         assert out[0, 1] == pytest.approx(0.5)
 
+    def test_transform_is_row_major_for_a_column_major_input(self):
+        # a column selection such as values[:, cols] is column-major; the
+        # scaled series must not inherit that, or its windows would too
+        rows = np.asfortranarray(make_rng(9).uniform(size=(40, 6)))
+        scaler = scaler_fit(rows)
+        out = scaler.transform(rows)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, scaler.transform(np.ascontiguousarray(rows)))
+
     def test_fit_uses_train_rows_only(self):
         rng = make_rng(0)
         train = rng.uniform(0, 1, size=(30, 6))

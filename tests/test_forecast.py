@@ -242,6 +242,14 @@ class TestBatchForecast:
         with pytest.raises(ValueError, match="3-D"):
             iterative_forecast_batch(MeanCloseModel(0), np.ones((4, 1)), 1)
 
+    @pytest.mark.parametrize("family", ["kan", "lstm"])
+    @pytest.mark.parametrize("horizon", [3, []], ids=["int", "per_window"])
+    def test_no_seed_windows_refused(self, family, horizon):
+        # one error for both families, before anything is encoded
+        model = tiny_model(family, n_features=6, lookback=4, seed=0)
+        with pytest.raises(ValueError, match=r"at least one window, got shape \(0, 4, 6\)"):
+            iterative_forecast_batch(model, np.zeros((0, 4, 6)), horizon)
+
 
 class TestEncodedTape:
     # (feature mode, n_features, close column, adj_close column)

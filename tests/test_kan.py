@@ -2,11 +2,13 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kanbench import kan as kan_module
+from kanbench.bench import build_model, load_matrix, prepare
 from kanbench.bspline import SplineSpec, basis_grad_matrix, basis_matrix
 from kanbench.forecast import iterative_forecast_batch
 from kanbench.kan import (
@@ -24,6 +26,16 @@ from kanbench.optim import TrainConfig, train
 
 def small_net(dims=(4, 3, 1), seed=0, spec=SplineSpec(5, 3)):
     return kan_init(list(dims), spec, make_rng(seed))
+
+
+def headline_fit_features():
+    """The network, encoded training features and targets of the first
+    headline KAN config, as its fit builds them from the pipeline's windows."""
+    headline = Path(__file__).resolve().parent.parent / "configs" / "headline.json"
+    config = next(c for c in load_matrix(headline) if c.model == "kan")
+    prepared = prepare(config)
+    net = build_model(config, prepared.scaled.shape[1], make_rng(config.seed))
+    return net, net.encode(prepared.train.inputs), prepared.train.targets
 
 
 class TestInit:
@@ -191,14 +203,33 @@ class TestEncode:
             tracemalloc.stop()
         assert peak <= 1.25 * (silu_x.nbytes + basis.nbytes)
 
+    def test_encode_is_row_major_whatever_the_window_layout(self):
+        net = small_net(dims=(12, 3, 1))
+        windows = make_rng(42).uniform(size=(5, 4, 3))
+        want = net.encode(windows)
+        # column-major, and each window's (F, L) block transposed, as the
+        # windows of a column-major series are
+        for laid_out in (np.asfortranarray(windows),
+                         np.ascontiguousarray(windows.transpose(0, 2, 1)).transpose(0, 2, 1)):
+            got = net.encode(laid_out)
+            for a, b in zip(got, want):
+                assert a.flags.c_contiguous
+                assert np.array_equal(a, b)
+
+    def test_fit_reads_its_encoded_features_in_place(self):
+        # each L-BFGS evaluation reshapes the encoded pair to rows: views,
+        # not a 0.94 MB copy of the silu features per evaluation
+        net, (silu_x, basis), _ = headline_fit_features()
+        rows = kan_module._check_features(net, silu_x, basis, trusted=True)
+        assert np.shares_memory(rows[0], silu_x) and np.shares_memory(rows[1], basis)
+
     def test_backward_peaks_at_a_few_hidden_bases(self):
-        # a full-batch loss+grad at the headline shape: each layer's basis
-        # and silu go once its gradient is formed, and w·dphi goes into w,
-        # so besides its input the call holds about two hidden-layer bases
-        net = kan_init([20 * 6, 8, 1], SplineSpec(3, 2), make_rng(40))
-        rng = make_rng(41)
-        silu_x, basis = net.encode(rng.uniform(-0.1, 1.1, size=(984, 20, 6)))
-        y = rng.uniform(size=984)
+        # a full-batch loss+grad on the first headline fit's features: each
+        # layer's basis and silu go once its gradient is formed, and w·dphi
+        # goes into w, so besides its input the call holds about two
+        # hidden-layer bases (about 5.5 with a copy of the silu features)
+        net, (silu_x, basis), y = headline_fit_features()
+        assert silu_x.shape == (984, 20, 6)
         kan_backward(net, silu_x, basis, y)
         tracemalloc.start()
         try:
