@@ -49,7 +49,7 @@ from .kan import kan_init
 from .lstm import HEAD_ACTIVATIONS, lstm_init
 from .metrics import rmse
 from .numcore import check_int, check_real, checkpoint_field, checkpoint_numbers, make_rng
-from .optim import TrainConfig, TrainingDiverged, train
+from .optim import TrainConfig, train
 
 # Cap on anchors × horizon for each horizon's anchor set; the anchors are
 # thinned evenly when the test segment would exceed it. The shared rollout
@@ -58,6 +58,8 @@ from .optim import TrainConfig, TrainingDiverged, train
 ANCHOR_BUDGET = 20000
 
 FEATURE_MODES = {"ohlcv": tuple(range(len(COLUMNS))), "close_only": (CLOSE,)}
+
+REPORT_FORMATS = ("csv", "markdown-table", "gnuplot-data")
 
 
 # --------------------------------------------------------------------------
@@ -167,12 +169,6 @@ class ExperimentConfig:
         if getattr(self, other) is not None and getattr(self, self.model) is None:
             raise ValueError(f"model is {self.model} but only {other} params were given")
         if self.data.source == "synthetic":  # a CSV's rows are checked in prepare
-            h_max = max(self.horizons)
-            if self.data.days < self.lookback + h_max + 10:
-                raise ValueError(
-                    f"days={self.data.days} too short: need >= lookback + max horizon + 10 "
-                    f"= {self.lookback + h_max + 10}"
-                )
             _check_anchorable(self, self.data.days)
 
     @property
@@ -383,13 +379,15 @@ def _failure_result(config: ExperimentConfig, message: str) -> ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Full pipeline for one config; training failures become failure records."""
-    prepared = prepare(config)
+    """Full pipeline for one config. Any exception on the way (a series that
+    cannot anchor, a diverged training run, a data or model error) becomes a
+    failure record whose message reads ``Type: message``."""
     try:
+        prepared = prepare(config)
         model, report, test_rmse = fit(config, prepared)
         horizons = _horizon_evals(model, prepared, config.horizons)
-    except (TrainingDiverged, RuntimeError, ValueError) as err:
-        return _failure_result(config, str(err))
+    except Exception as err:  # recorded, so a matrix always completes
+        return _failure_result(config, f"{type(err).__name__}: {err}")
     return ExperimentResult(
         config=config,
         train_rmse=report.final_rmse,
@@ -404,25 +402,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def run_matrix(configs, parallelism: int = 1):
     """Run every config (up to `parallelism` at once), in config order.
 
-    Per-experiment failures are captured as failure records; the matrix
-    always completes.
+    ``run_experiment`` turns each experiment's failure into a record, so the
+    matrix always completes.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("no experiments in matrix")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-
-    def safe(config):
-        try:
-            return run_experiment(config)
-        except Exception as err:  # captured per row; the matrix completes
-            return _failure_result(config, f"{type(err).__name__}: {err}")
-
     if parallelism == 1:
-        return [safe(c) for c in configs]
+        return [run_experiment(c) for c in configs]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(safe, configs))
+        return list(pool.map(run_experiment, configs))
 
 
 # --------------------------------------------------------------------------
@@ -632,7 +623,7 @@ def emit_report(results, fmt: str, out_dir, best_only: bool = False):
     """Render results to files; returns the list of written paths."""
     if not results:
         raise ValueError("no results to report")
-    if fmt not in ("csv", "markdown-table", "gnuplot-data"):
+    if fmt not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     rows = comparison_table(results, best_only=best_only)

@@ -7,12 +7,14 @@ from the clock, and no subcommand touches the network.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from . import bench, kan, lstm
 from .bench import (
+    REPORT_FORMATS,
     config_from_dict,
     config_to_dict,
     emit_report,
@@ -26,9 +28,7 @@ from .bench import (
 )
 from .data import REGIME_PRESETS, MinMaxScaler, gen_synthetic, make_regime, write_csv
 from .forecast import iterative_forecast, write_trace_csv
-from .numcore import check_int, checkpoint_field, checkpoint_numbers
-
-REPORT_FORMATS = ("csv", "markdown-table", "gnuplot-data")
+from .numcore import check_int, checkpoint_array, checkpoint_field, checkpoint_numbers
 
 
 class _UsageError(Exception):
@@ -130,18 +130,7 @@ def _cmd_train(args) -> None:
         json.dump(checkpoint, fh)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "rmse_history": report.rmse_history,
-                    "wall_seconds": report.wall_seconds,
-                    "epochs_run": report.epochs_run,
-                    "stopped_early": report.stopped_early,
-                    "stalled": report.stalled,
-                    "test_rmse": test_rmse,
-                },
-                fh,
-                indent=2,
-            )
+            json.dump({**dataclasses.asdict(report), "test_rmse": test_rmse}, fh, indent=2)
     print(
         f"trained {config.label}: train RMSE {report.final_rmse:.4f}, "
         f"test RMSE {test_rmse:.4f}, {report.epochs_run} epochs "
@@ -164,7 +153,7 @@ def _cmd_forecast(args) -> None:
     window = checkpoint_numbers(seed_window, "checkpoint field 'seed_window' must be rows of numbers")
     model = loaders[kind](model_d)
     trace = iterative_forecast(model, window, args.horizon, close_col=target_col)
-    scaler = MinMaxScaler(*(checkpoint_field(scaler_d, key, "checkpoint scaler")
+    scaler = MinMaxScaler(*(checkpoint_array(scaler_d, key, window.shape[1], "checkpoint scaler")
                             for key in ("mins", "maxs")))
     write_trace_csv(trace, args.out, scaler, price_feature=target_col)
     print(f"forecast {args.horizon} steps with {kind} -> {args.out}")

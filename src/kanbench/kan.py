@@ -272,7 +272,12 @@ def kan_backward(net: KanNetwork, silu_x, basis, targets, *, trusted: bool = Fal
 
 
 def to_json_dict(net: KanNetwork) -> dict:
+    """The checkpoint dict; it holds one spline spec, so a network whose
+    layers differ in spec, which it could not rebuild, raises a ValueError."""
     spec = net.layers[0].spec
+    if any(l.spec != spec for l in net.layers):
+        raise ValueError(f"a checkpoint holds one spline spec, the layers have "
+                         f"{[l.spec for l in net.layers]}")
     return {
         "kind": "kan",
         "dims": net.dims,

@@ -470,6 +470,11 @@ def lstm_loss_and_grad(net: LstmNetwork, inputs, targets, *, trusted: bool = Fal
 
 
 def to_json_dict(net: LstmNetwork) -> dict:
+    """The checkpoint dict; it holds one hidden width, so a stack of several
+    widths, which it could not rebuild, raises a ValueError."""
+    widths = [l.hidden for l in net.layers]
+    if len(set(widths)) > 1:
+        raise ValueError(f"a checkpoint holds one hidden width, the layers have {widths}")
     return {
         "kind": "lstm",
         "input_dim": net.input_dim,

@@ -128,10 +128,6 @@ class TestConfigPlumbing:
 
 
 class TestValidation:
-    def test_days_too_short_for_horizon(self):
-        with pytest.raises(ValueError, match="too short"):
-            dataclasses.replace(tiny_config(), horizons=(100,))
-
     def test_test_segment_cannot_anchor_horizon(self):
         # 80 days, L=8: 72 samples, 14 test samples < horizon 20
         with pytest.raises(ValueError, match="anchor"):
@@ -480,6 +476,35 @@ class TestRunExperiment:
         assert math.isnan(result.test_rmse)
         assert result.horizons == []
 
+    def test_divergence_record_names_its_type(self):
+        result = run_experiment(tiny_config("lstm", lr=1e200))
+        assert result.failure.startswith("TrainingDiverged: training diverged at epoch")
+
+    def test_unanchorable_csv_becomes_failure_record(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        write_csv(gen_synthetic(make_regime("normal", 40, 3)), path)
+        cfg = ExperimentConfig(model="kan", data=DataConfig(source="csv", csv_path=str(path)),
+                               lookback=8, horizons=(20,))
+        result = run_experiment(cfg)
+        assert result.failure.startswith("ValueError: series of 40 rows cannot anchor horizon 20")
+        assert result.horizons == [] and math.isnan(result.test_rmse)
+
+    def test_synthetic_series_runs_as_its_csv_does(self, tmp_path):
+        # 18 days, L=8: 10 samples split 8 / 2, which anchors horizon 1; the
+        # anchor rule alone decides, for a config's days as for a CSV's rows
+        path = tmp_path / "prices.csv"
+        write_csv(gen_synthetic(make_regime("normal", 18, 3)), path)
+        synthetic = ExperimentConfig(model="kan", data=DataConfig(days=18, data_seed=3),
+                                     lookback=8, horizons=(1,),
+                                     train=TrainConfig(optimizer="lbfgs", max_epochs=5),
+                                     kan=KanParams(hidden=0))
+        from_csv = dataclasses.replace(synthetic,
+                                       data=DataConfig(source="csv", csv_path=str(path)))
+        a, b = run_experiment(synthetic), run_experiment(from_csv)
+        assert a.failure is None and b.failure is None
+        assert (a.train_rmse, a.test_rmse, a.epochs_run) == (b.train_rmse, b.test_rmse, b.epochs_run)
+        assert a.horizons == b.horizons and a.horizons[0].n_anchors == 2
+
     def test_deterministic_canonical_json(self):
         cfg = tiny_config("kan", "trending", seed=5)
         a = result_canonical_json(run_experiment(cfg))
@@ -587,7 +612,7 @@ class TestRunMatrix:
         bad = {**config_to_dict(tiny_config()), "horizons": [999]}
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps([config_to_dict(tiny_config()), bad]))
-        with pytest.raises(ValueError, match="too short"):
+        with pytest.raises(ValueError, match="cannot anchor"):
             load_matrix(path)
         with pytest.raises(ValueError, match="no experiments"):
             run_matrix([])

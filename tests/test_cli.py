@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifact chains, error routing."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -232,6 +233,24 @@ class TestTrainForecastChain:
         assert dispatch(["forecast", "--checkpoint", str(ckpt),
                          "--horizon", "3", "--out", str(tmp_path / "t.csv")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["mins", "maxs"])
+    @pytest.mark.parametrize("change,message", [
+        (lambda v: v.__setitem__(0, str(v[0])), "must be a list of numbers"),
+        (lambda v: v.__setitem__(0, math.nan), "must be finite"),
+        (lambda v: v.__setitem__(0, None), "must be a list of numbers"),
+        (lambda v: v.__setitem__(0, True), "must be a list of numbers"),
+        (lambda v: v.__delitem__(slice(1, None)), "has shape (1,), expected (6,)"),
+    ], ids=["quoted", "nan", "null", "bool", "one-entry"])
+    def test_bad_checkpoint_scaler_names_field(self, tmp_path, capsys, key, change, message):
+        code, ckpt, _ = self.run_train(tmp_path, "lstm")
+        assert code == 0
+        bundle = json.loads(ckpt.read_text())
+        change(bundle["scaler"][key])
+        ckpt.write_text(json.dumps(bundle))
+        assert dispatch(["forecast", "--checkpoint", str(ckpt),
+                         "--horizon", "3", "--out", str(tmp_path / "t.csv")]) == 2
+        assert f"checkpoint scaler field {key!r} {message}" in capsys.readouterr().err
 
 
 class TestBenchmarkAndReport:

@@ -398,6 +398,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="kind"):
             from_json_dict({"kind": "lstm"})
 
+    def test_layers_of_several_specs_refused_at_save(self):
+        # the checkpoint holds one spec, so it would reload layer 2 on [0, 1]
+        first, second = small_net((3, 2, 1), seed=8, spec=SplineSpec(3, 2)).layers
+        wide = KanLayer(second.in_dim, second.out_dim, SplineSpec(3, 2, -4.0, 4.0),
+                        second.coef, second.base)
+        with pytest.raises(ValueError, match="one spline spec"):
+            to_json_dict(KanNetwork([first, wide]))
+
     def test_layer_count_must_match_dims(self):
         d = to_json_dict(small_net((4, 1), seed=5))
         d["dims"] = [4, 1, 1]  # one layer entry for two layers' worth of dims

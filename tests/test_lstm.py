@@ -610,6 +610,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="kind"):
             from_json_dict({"kind": "kan"})
 
+    def test_stack_of_several_widths_refused_at_save(self):
+        # the checkpoint holds one hidden width, so it could not rebuild this
+        rng = make_rng(12)
+        layers = [LstmLayer(in_dim, hidden, rng.normal(size=(4 * hidden, hidden + in_dim)),
+                            np.zeros(4 * hidden))
+                  for in_dim, hidden in ((3, 5), (5, 2), (2, 4))]
+        net = LstmNetwork(layers, rng.normal(size=4))
+        with pytest.raises(ValueError, match=r"one hidden width, the layers have \[5, 2, 4\]"):
+            to_json_dict(net)
+
     def test_per_gate_params_load_into_fused_blocks(self):
         # a checkpoint's params list is w_i, w_f, w_o, w_g, b_i..b_g per layer
         rng = make_rng(71)

@@ -221,6 +221,23 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="epoch"):
             train(net, x, y, cfg)
 
+    def test_lbfgs_zero_gradient_start_stalls_after_one_epoch(self):
+        net = kan_init([2, 3, 1], SplineSpec(3, 2), make_rng(0))
+        net.unpack(np.zeros(net.pack().size))  # zero output and zero gradient everywhere
+        x = make_rng(1).uniform(0, 1, size=(16, 2))
+        report = train(net, x, np.zeros(16), TrainConfig(optimizer="lbfgs", max_epochs=20))
+        assert report.stalled and not report.stopped_early
+        assert report.epochs_run == 1
+        assert report.rmse_history == [0.0, 0.0]
+
+    def test_lbfgs_nonfinite_start_names_epoch_1(self):
+        # finite targets whose squared residuals overflow: the loss is inf
+        rng = make_rng(2)
+        net = kan_init([2, 1], SplineSpec(3, 2), rng)
+        x = rng.uniform(0, 1, size=(16, 2))
+        with pytest.raises(TrainingDiverged, match="diverged at epoch 1: loss/gradient not finite"):
+            train(net, x, np.full(16, 1e200), TrainConfig(optimizer="lbfgs", max_epochs=20))
+
     def test_train_determinism(self):
         reports = []
         finals = []
